@@ -248,7 +248,9 @@ void BM_McLossProbability1kTrials(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * mc.trials);
 }
-BENCHMARK(BM_McLossProbability1kTrials);
+// The trials run on a pool lane, not the benchmark thread, so only wall
+// time measures them.
+BENCHMARK(BM_McLossProbability1kTrials)->UseRealTime();
 
 void BM_ReplicatedCtmcSolve(benchmark::State& state) {
   const int replicas = static_cast<int>(state.range(0));

@@ -1,6 +1,5 @@
 // Sweep-engine throughput: one 16-cell batch on the shared worker pool vs
-// 16 sequential estimator calls vs the pre-pool per-call spawn/join
-// executor.
+// 16 sequential estimator calls.
 //
 // The grid is deliberately heterogeneous (scrub period x correlation, so
 // per-cell trial cost varies severalfold): sequential per-cell execution
@@ -9,14 +8,11 @@
 // that the batch produces bit-identical estimates to the sequential calls
 // (the determinism contract), so the speed comparison is apples-to-apples.
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <thread>
 #include <vector>
 
 #include "src/sweep/sweep.h"
-#include "src/util/random.h"
 #include "src/util/table.h"
 
 namespace longstore {
@@ -51,47 +47,6 @@ SweepSpec PerfGrid() {
 double Seconds(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
       .count();
-}
-
-// The pre-sweep executor: spawn/join a fresh set of std::threads per cell,
-// dynamic trial counter, per-worker partial accumulators merged in worker
-// order. Reproduced here so the trajectory of the orchestration layer stays
-// measurable after the original was replaced.
-double LegacySpawnJoinMttdl(const StorageSimConfig& config, int64_t trials,
-                            uint64_t seed, int threads) {
-  struct Partial {
-    RunningStats loss_years;
-  };
-  std::vector<Partial> partials(static_cast<size_t>(threads));
-  std::atomic<int64_t> next{0};
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(threads));
-  for (int w = 0; w < threads; ++w) {
-    workers.emplace_back([&, w] {
-      TrialRunner runner(config, ConfigValidation::kPreValidated);
-      Partial& partial = partials[static_cast<size_t>(w)];
-      while (true) {
-        const int64_t t = next.fetch_add(1, std::memory_order_relaxed);
-        if (t >= trials) {
-          break;
-        }
-        const RunOutcome outcome =
-            runner.Run(DeriveSeed(seed, static_cast<uint64_t>(t)),
-                       Duration::Years(100.0e6));
-        if (outcome.loss_time) {
-          partial.loss_years.Add(outcome.loss_time->years());
-        }
-      }
-    });
-  }
-  for (std::thread& worker : workers) {
-    worker.join();
-  }
-  RunningStats total;
-  for (const Partial& partial : partials) {
-    total.Merge(partial.loss_years);
-  }
-  return total.mean();
 }
 
 }  // namespace
@@ -141,16 +96,6 @@ int main() {
   }
   const double sequential_seconds = Seconds(sequential_start);
 
-  // Legacy: the pre-pool spawn/join executor, one call per cell.
-  const auto legacy_start = std::chrono::steady_clock::now();
-  std::vector<double> legacy_means;
-  legacy_means.reserve(cells.size());
-  for (const SweepSpec::Cell& cell : cells) {
-    legacy_means.push_back(LegacySpawnJoinMttdl(cell.config, kTrialsPerCell,
-                                                kSeed, threads));
-  }
-  const double legacy_seconds = Seconds(legacy_start);
-
   bool identical = true;
   for (size_t i = 0; i < cells.size(); ++i) {
     const MttdlEstimate& a = *batch.cells[i].mttdl;
@@ -167,9 +112,6 @@ int main() {
   table.AddRow({"sequential pool-backed calls",
                 Table::Fmt(sequential_seconds, 3) + " s",
                 Table::Fmt(sequential_seconds / batch_seconds, 2) + "x"});
-  table.AddRow({"legacy per-call spawn/join",
-                Table::Fmt(legacy_seconds, 3) + " s",
-                Table::Fmt(legacy_seconds / batch_seconds, 2) + "x"});
   std::printf("%s", table.Render().c_str());
   std::printf("\nbatch estimates bit-identical to sequential calls: %s\n",
               identical ? "yes" : "NO — DETERMINISM CONTRACT VIOLATED");

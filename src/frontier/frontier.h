@@ -27,19 +27,29 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/drives/cost_model.h"
 #include "src/drives/drive_specs.h"
 #include "src/frontier/eval_backend.h"
+#include "src/model/fault_params.h"
 #include "src/obs/trace.h"
-#include "src/planner/planner.h"
 #include "src/rare/biased_sampler.h"
 #include "src/scenario/scenario.h"
 #include "src/threats/independence.h"
 #include "src/util/units.h"
 
 namespace longstore {
+
+// How independent a design's replicas are (§5.5); sets the correlation α.
+enum class DeploymentStyle {
+  kSingleSite,              // one machine room, one admin, one batch
+  kGeoReplicatedSameAdmin,  // distinct sites, central operations
+  kFullyDiverse,            // distinct sites, admins, batches, software, orgs
+};
+
+std::string_view DeploymentStyleName(DeploymentStyle style);
 
 // What the archive must achieve, and what it may spend.
 struct FrontierTarget {
@@ -95,6 +105,24 @@ struct FrontierCandidate {
   // "10 y: LTO-3 x3 -> 40 y: SiN-W gigayear disc x3, 1 audits/y, ...".
   std::string Describe() const;
 };
+
+// Per-replica fault parameters of `drive` in a fleet of `replicas` under
+// `deployment`: media-specific intrinsic rates, audit-driven MDL (off-line
+// media pay handling-induced faults), and deployment-driven α, with the
+// space's latent-to-visible ratio and correlation factors. Throws
+// std::invalid_argument when replicas < 1.
+FaultParams DeriveParams(const DriveSpec& drive, int replicas,
+                         double audits_per_year, DeploymentStyle deployment,
+                         const FrontierSpace& space);
+
+// One phase as a runnable Scenario: a replica per drive with DeriveParams'
+// parameters, detection realized as an exponential scrub at the derived MDL
+// (the memoryless process the exact CTMC models, so homogeneous phases stay
+// CTMC-compatible), correlation from the deployment style. The search scores
+// candidates through these scenarios, so a chosen design can be handed
+// unchanged to the simulator, the sweep engine, or a rare-event estimate.
+Scenario PhaseScenario(const FrontierPhase& phase, DeploymentStyle deployment,
+                       const FrontierSpace& space);
 
 // Simulation knobs for candidates the exact CTMC cannot score.
 struct FrontierOptions {
@@ -206,13 +234,6 @@ struct FrontierResult {
 FrontierResult RunFrontierSearch(const FrontierTarget& target,
                                  const FrontierSpace& space,
                                  FrontierEvaluator& evaluator);
-
-// Scores a planner option the exact CTMC refused (PlannerReport::dropped)
-// through the simulation pipeline: loss probability from the evaluator,
-// MTTDL back-derived via MttfForLossProbability, cost from the cost model.
-EvaluatedOption EvaluateDroppedOption(const DroppedOption& dropped,
-                                      const PlannerConfig& config,
-                                      FrontierEvaluator& evaluator);
 
 // The pinned small search shared by tests/frontier_golden_test.cc, the CI
 // frontier-smoke job, and `frontier_plan --golden-small`: 3 media x

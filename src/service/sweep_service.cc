@@ -148,7 +148,7 @@ ServiceResponse SweepService::HandleSweep(const ServiceRequest& request) {
 
   const uint64_t sweep_id =
       ComputeSweepId(spec.axis_names, spec.options, spec.cells);
-  if (spec.sweep_id != 0 && spec.sweep_id != sweep_id) {
+  if (spec.sweep_id != sweep_id) {
     throw std::invalid_argument(
         "service request: document sweep_id does not match its own content "
         "(stale or hand-edited document?)");

@@ -170,54 +170,24 @@ void AppendHeaderJson(std::string& out, int shard_index, int shard_count,
   json::AppendUint64Hex(out, sweep_id);
 }
 
-// Opens the (possibly enveloped) document, enforcing the version rules:
-// version 2 must arrive checksummed, version 1 must not, anything else is
-// foreign. Returns the verified body to parse.
+// Opens the enveloped document and enforces the one live version. Returns
+// the verified body to parse.
 json::ChecksummedDocument OpenShardDocument(std::string_view text,
                                             const std::string& context,
                                             const std::string& source) {
-  const auto fail = [&](const std::string& what) {
-    json::Fail(context, source.empty() ? what : "[" + source + "] " + what);
-  };
   const json::ChecksummedDocument doc =
       json::OpenChecksummedDocument(text, "shard_version", context, source);
-  if (doc.checksummed && doc.version != kShardProtocolVersion &&
-      doc.version != kShardCompatVersion) {
-    // Version 2 is a strict subset of version 3 (no ranges, no fragments),
-    // so in-flight version-2 documents keep parsing.
-    fail("unsupported shard_version " + std::to_string(doc.version) +
-         " in a checksummed envelope (this build speaks " +
-         std::to_string(kShardProtocolVersion) + " and accepts " +
-         std::to_string(kShardCompatVersion) + ")");
+  if (doc.version != kShardProtocolVersion) {
+    json::Fail(context, "unsupported shard_version " +
+                            std::to_string(doc.version) +
+                            " (this build speaks only " +
+                            std::to_string(kShardProtocolVersion) + ")");
   }
   return doc;
 }
 
-// Reads the body header. For an unchecksummed (legacy) body the version key
-// still lives inside the body and must say kShardLegacyVersion; a flat
-// document claiming version 2 is refused outright — accepting it would make
-// the integrity layer optional in exactly the silent-corruption cases it
-// exists for.
-ShardHeader ReadHeader(json::ObjectReader& reader,
-                       const json::ChecksummedDocument& doc,
-                       const std::string& context, const std::string& source) {
-  const auto fail = [&](const std::string& what) {
-    json::Fail(context, source.empty() ? what : "[" + source + "] " + what);
-  };
-  if (!doc.checksummed) {
-    const int version = reader.GetInt("shard_version");
-    if (version == kShardProtocolVersion || version == kShardCompatVersion) {
-      fail("shard_version " + std::to_string(version) +
-           " documents must arrive in the checksummed envelope; refusing an "
-           "unverifiable document");
-    }
-    if (version != kShardLegacyVersion) {
-      fail("unsupported shard_version " + std::to_string(version) +
-           " (this build speaks " + std::to_string(kShardProtocolVersion) +
-           "; version " + std::to_string(kShardLegacyVersion) +
-           " still accepted unchecksummed)");
-    }
-  }
+// Reads the header fields both document bodies share.
+ShardHeader ReadHeader(json::ObjectReader& reader, const std::string& context) {
   ShardHeader header;
   header.shard_count = reader.GetInt("shard_count");
   if (header.shard_count < 1) {
@@ -233,14 +203,12 @@ ShardHeader ReadHeader(json::ObjectReader& reader,
     json::Fail(context, "total_cells must be >= 1");
   }
   header.total_cells = static_cast<size_t>(total);
-  if (doc.checksummed) {
-    header.sweep_id = reader.GetUint64Hex("sweep_id");
-  }
+  header.sweep_id = reader.GetUint64Hex("sweep_id");
   return header;
 }
 
 // Re-throws a schema/parse error with the source document named, unless the
-// message already names it (OpenShardDocument and ReadHeader tag their own).
+// message already names it (json::OpenChecksummedDocument tags its own).
 // Keeps json::IntegrityError's type intact for the retryable/fatal split.
 [[noreturn]] void RethrowTagged(const std::string& source) {
   try {
@@ -425,7 +393,7 @@ ShardSpec ShardSpec::FromJsonUntagged(std::string_view text,
       OpenShardDocument(text, kSpecContext, source);
   const json::Value root = json::Parse(doc.body, kSpecContext);
   json::ObjectReader reader(root, "shard", kSpecContext);
-  const ShardHeader header = ReadHeader(reader, doc, kSpecContext, source);
+  const ShardHeader header = ReadHeader(reader, kSpecContext);
 
   ShardSpec shard;
   shard.shard_index = header.shard_index;
@@ -701,7 +669,7 @@ ShardResult ShardResult::FromJsonUntagged(std::string_view text,
       OpenShardDocument(text, kResultContext, source);
   const json::Value root = json::Parse(doc.body, kResultContext);
   json::ObjectReader reader(root, "shard result", kResultContext);
-  const ShardHeader header = ReadHeader(reader, doc, kResultContext, source);
+  const ShardHeader header = ReadHeader(reader, kResultContext);
 
   ShardResult result;
   result.shard_index = header.shard_index;
@@ -757,9 +725,9 @@ ShardResult ShardResult::FromJsonUntagged(std::string_view text,
     cell.Finish();
     result.cells.push_back(std::move(out));
   }
-  // "fragments" is optional (absent from version-2 documents and from
-  // whole-cell version-3 documents). A cell must arrive either whole or as
-  // fragments, never both, so fragment indices share the cells' claim set.
+  // "fragments" is optional (absent from whole-cell documents). A cell
+  // must arrive either whole or as fragments, never both, so fragment
+  // indices share the cells' claim set.
   if (root.Find("fragments") != nullptr) {
     for (const json::Value& entry : reader.GetArray("fragments")) {
       json::ObjectReader frag(entry, "fragment", kResultContext);
@@ -857,17 +825,12 @@ void ShardMerger::Add(ShardResult result, const std::string& source) {
       fail(who + " claims " + std::to_string(result.total_cells) +
            " total cells, " + first + " " + std::to_string(header_.total_cells));
     }
-    if (result.sweep_id != 0 && header_.sweep_id != 0) {
-      // Version-2 documents prove membership by sweep identity; shard_count
-      // is provenance only (a fleet driver that re-partitions failed shards
-      // legitimately emits documents with differing counts).
-      if (result.sweep_id != header_.sweep_id) {
-        fail(who + " belongs to a different sweep than " + first +
-             " (sweep_id mismatch)");
-      }
-    } else if (result.shard_count != header_.shard_count) {
-      fail(who + " claims " + std::to_string(result.shard_count) +
-           " shards, " + first + " " + std::to_string(header_.shard_count));
+    // Membership is proven by sweep identity; shard_count is provenance
+    // only (a fleet driver that re-partitions failed shards legitimately
+    // emits documents with differing counts).
+    if (result.sweep_id != header_.sweep_id) {
+      fail(who + " belongs to a different sweep than " + first +
+           " (sweep_id mismatch)");
     }
     if (result.axis_names != header_.axis_names) {
       fail(who + " has a different axis list than " + first);

@@ -141,33 +141,26 @@ ChecksummedDocument OpenChecksummedDocument(std::string_view text,
   }
   const std::string_view doc = text.substr(begin, end - begin);
 
-  ChecksummedDocument out;
-  out.body = doc;
   const std::string head = "{\"" + version_key + "\":";
-  if (doc.substr(0, head.size()) != head) {
-    // Not even a versioned document; the caller's JSON parse reports it.
-    return out;
-  }
   size_t pos = head.size();
   const size_t digits_begin = pos;
-  while (pos < doc.size() && doc[pos] >= '0' && doc[pos] <= '9') {
-    ++pos;
-  }
-  if (pos == digits_begin || pos - digits_begin > 9) {
-    return out;  // "1.5", "-1", ...: let the schema layer reject it precisely
-  }
-  int version = 0;
-  for (size_t i = digits_begin; i < pos; ++i) {
-    version = version * 10 + (doc[i] - '0');
+  if (doc.substr(0, head.size()) == head) {
+    while (pos < doc.size() && doc[pos] >= '0' && doc[pos] <= '9') {
+      ++pos;
+    }
   }
   constexpr std::string_view kBytesKey = ",\"body_bytes\":";
-  if (doc.substr(pos, kBytesKey.size()) != kBytesKey) {
-    // A legacy flat document: the version key lives inside the body.
-    out.version = version;
-    return out;
+  if (pos == digits_begin || pos - digits_begin > 9 ||
+      doc.substr(pos, kBytesKey.size()) != kBytesKey) {
+    // Not an integrity failure: re-sending the same bytes cannot help.
+    Fail(context, (source.empty() ? "" : "[" + source + "] ") +
+                      "not a checksummed document: expected the '" + head +
+                      "N,\"body_bytes\":...' envelope");
   }
-  out.version = version;
-  out.checksummed = true;
+  ChecksummedDocument out;
+  for (size_t i = digits_begin; i < pos; ++i) {
+    out.version = out.version * 10 + (doc[i] - '0');
+  }
   pos += kBytesKey.size();
 
   const size_t bytes_begin = pos;
@@ -288,9 +281,15 @@ class Parser {
     const char c = Peek();
     switch (c) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        if (++depth_ > kMaxDepth) {
+          ParseFail("containers nested deeper than " +
+                    std::to_string(kMaxDepth) + " levels");
+        }
+        Value value = c == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return value;
+      }
       case '"': {
         Value value;
         value.kind = Value::Kind::kString;
@@ -478,9 +477,15 @@ class Parser {
     }
   }
 
+  // The parser recurses once per container level, so without a bound a
+  // small hostile document ("[[[[...") exhausts the stack. No document this
+  // library emits nests more than a dozen levels deep.
+  static constexpr int kMaxDepth = 128;
+
   std::string_view text_;
   const std::string& context_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

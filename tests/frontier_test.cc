@@ -11,6 +11,7 @@
 #include <algorithm>
 
 #include "src/frontier/eval_backend.h"
+#include "src/scenario/media.h"
 #include "src/scenario/scenario_ctmc.h"
 #include "src/service/sweep_service.h"
 #include "src/sweep/worker_pool.h"
@@ -118,16 +119,9 @@ TEST(FrontierTest, ForcedSimulationAgreesWithExactCtmcWithinCi) {
   EXPECT_EQ(point.method, "simulated");
   EXPECT_GT(point.trials, 0);
 
-  StrategyOption option;
-  option.drive = space.media[0];
-  option.replicas = 2;
-  option.audits_per_year = 12.0;
-  option.deployment = DeploymentStyle::kFullyDiverse;
-  PlannerConfig config;
-  config.mission = FastTarget().mission;
-  const auto exact =
-      ScenarioCtmcLossProbability(PlannerScenario(option, config),
-                                  config.mission);
+  const auto exact = ScenarioCtmcLossProbability(
+      PhaseScenario(point.candidate.phases[0], point.candidate.deployment, space),
+      FastTarget().mission);
   ASSERT_TRUE(exact.has_value());
   EXPECT_LE(point.ci_lo, *exact);
   EXPECT_GE(point.ci_hi, *exact);
@@ -244,14 +238,10 @@ TEST(FrontierTest, MigrationSchedulesComposeAcrossPhases) {
 TEST(FrontierTest, EvaluatorMemoServesRepeats) {
   PoolEvalBackend backend;
   FrontierEvaluator evaluator(FastOptions(), &backend);
-  StrategyOption option;
-  option.drive = Lto3TapeCartridge();
-  option.replicas = 2;
-  option.audits_per_year = 4.0;
-  option.deployment = DeploymentStyle::kFullyDiverse;
-  PlannerConfig config;
-  config.scrub_realization = ScrubRealization::kPeriodic;
-  const Scenario scenario = PlannerScenario(option, config);
+  // Vaulted tape audited on a fixed period: outside the CTMC, so simulated.
+  const Scenario scenario =
+      ScenarioBuilder().Replicas(2, TapeSpec(Lto3TapeCartridge(), 4.0)).Build();
+  ASSERT_TRUE(CtmcIncompatibility(scenario).has_value());
 
   const auto first = evaluator.EvaluateScenario(scenario, Duration::Years(50));
   const auto second = evaluator.EvaluateScenario(scenario, Duration::Years(50));
@@ -263,50 +253,6 @@ TEST(FrontierTest, EvaluatorMemoServesRepeats) {
   const auto other = evaluator.EvaluateScenario(scenario, Duration::Years(20));
   EXPECT_EQ(other.source, "computed");
   EXPECT_EQ(evaluator.stats().memo_hits, 1);
-}
-
-TEST(FrontierTest, DroppedPlannerOptionsRouteThroughSimulation) {
-  // Satellite contract: a periodic-scrub planner config drops options with
-  // the precise CtmcIncompatibility reason, and EvaluateDroppedOption scores
-  // them through the frontier pipeline instead of discarding them.
-  PlannerConfig config;
-  config.drive_choices = {SeagateBarracuda200Gb()};
-  config.replica_choices = {2};
-  config.audit_choices = {12.0};
-  config.deployment_choices = {DeploymentStyle::kFullyDiverse};
-  config.scrub_realization = ScrubRealization::kPeriodic;
-
-  const PlannerReport report = EvaluateAllOptionsWithReport(config);
-  ASSERT_EQ(report.evaluated.size(), 0u);
-  ASSERT_EQ(report.dropped.size(), 1u);
-  const DroppedOption& dropped = report.dropped[0];
-  EXPECT_FALSE(dropped.ctmc_incompatibility.empty());
-
-  PoolEvalBackend backend;
-  FrontierOptions options = FastOptions();
-  options.trials = 2000;
-  FrontierEvaluator evaluator(options, &backend);
-  const EvaluatedOption evaluated =
-      EvaluateDroppedOption(dropped, config, evaluator);
-  EXPECT_GT(evaluated.loss_probability, 0.0);
-  EXPECT_LT(evaluated.loss_probability, 1.0);
-  EXPECT_GT(evaluated.mttdl.hours(), 0.0);
-  EXPECT_FALSE(evaluated.mttdl.is_infinite());
-  EXPECT_DOUBLE_EQ(
-      evaluated.annual_cost_usd,
-      AnnualSystemCost(dropped.option.drive, config.archive_gb,
-                       dropped.option.replicas,
-                       dropped.option.audits_per_year, config.costs));
-
-  // The periodic realization detects latent faults no worse on average than
-  // the exponential one — the simulated estimate must land within an order
-  // of magnitude of the exact exponential-scrub answer.
-  PlannerConfig exponential = config;
-  exponential.scrub_realization = ScrubRealization::kExponentialAtMdl;
-  const EvaluatedOption reference =
-      EvaluateOption(report.dropped[0].option, exponential);
-  EXPECT_GT(evaluated.loss_probability, reference.loss_probability * 0.1);
-  EXPECT_LT(evaluated.loss_probability, reference.loss_probability * 10.0);
 }
 
 TEST(FrontierTest, ResultJsonParsesAndMirrorsThePoints) {

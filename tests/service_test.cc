@@ -19,6 +19,7 @@
 #include "src/service/sweep_service.h"
 #include "src/shard/shard.h"
 #include "src/sweep/sweep.h"
+#include "src/util/json.h"
 
 namespace longstore {
 namespace {
@@ -213,6 +214,18 @@ TEST(SweepServiceTest, GarbageAndSchemaViolationsArePermanentErrors) {
       ServiceResponse::FromJson(service.HandleRequestBytes("not json at all"));
   EXPECT_FALSE(garbage.ok);
   EXPECT_FALSE(garbage.retryable);
+
+  // A validly checksummed frame whose body nests 100000 arrays deep: the
+  // parser must refuse it, not recurse off the end of the stack.
+  const std::string deep = json::WrapChecksummedBody(
+      kServiceVersionKey, kServiceProtocolVersion,
+      std::string(100000, '[') + std::string(100000, ']'));
+  const ServiceResponse nested =
+      ServiceResponse::FromJson(service.HandleRequestBytes(deep));
+  EXPECT_FALSE(nested.ok);
+  EXPECT_FALSE(nested.retryable);
+  EXPECT_NE(nested.message.find("nested deeper"), std::string::npos)
+      << nested.message;
 
   // A structurally valid request whose document is a partial shard: the
   // service answers whole sweeps only.

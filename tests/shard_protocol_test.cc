@@ -65,10 +65,8 @@ std::string Replaced(const std::string& text, const std::string& from,
 // body, mutate it textually, and re-wrap with a freshly computed (valid)
 // envelope — otherwise every mutation would just trip the checksum.
 std::string Body(const std::string& document) {
-  const json::ChecksummedDocument doc =
-      json::OpenChecksummedDocument(document, "shard_version", "test");
-  EXPECT_TRUE(doc.checksummed);
-  return std::string(doc.body);
+  return std::string(
+      json::OpenChecksummedDocument(document, "shard_version", "test").body);
 }
 
 std::string Rewrapped(const std::string& body) {
@@ -81,7 +79,7 @@ std::string Doctored(const std::string& document, const std::string& from,
 }
 
 // A faithful version-1 document: flat (no envelope), shard_version inside
-// the body, no sweep_id — what a pre-upgrade worker would have written.
+// the body, no sweep_id — what a version-1 worker wrote.
 std::string AsLegacyV1(const std::string& document) {
   std::string body = Body(document);
   const size_t at = body.find(",\"sweep_id\":\"");
@@ -114,11 +112,20 @@ const auto kParseResult = [](const std::string& text) {
 
 TEST(ShardProtocolTest, SpecRejectsMalformedAndTruncatedInput) {
   const std::string valid = ValidSpecJson();
-  ExpectRejects(kParseSpec, "", "unexpected end of input");
-  ExpectRejects(kParseSpec, "not json at all", "expected a value");
-  ExpectRejects(kParseSpec, "\x01\x02\x03", "expected a value");
+  // Without the envelope nothing is parsed at all.
+  ExpectRejects(kParseSpec, "", "not a checksummed document");
+  ExpectRejects(kParseSpec, "not json at all", "not a checksummed document");
+  ExpectRejects(kParseSpec, "\x01\x02\x03", "not a checksummed document");
+  ExpectRejects(kParseSpec, "[1,2,3]", "not a checksummed document");
   ExpectRejects(kParseSpec, valid + "x", "not closed by '}'");
-  ExpectRejects(kParseSpec, "[1,2,3]", "must be an object");
+  // Garbage inside a valid envelope reaches the parser and fails there.
+  ExpectRejects(kParseSpec, Rewrapped(""), "unexpected end of input");
+  ExpectRejects(kParseSpec, Rewrapped("not json at all"), "expected a value");
+  ExpectRejects(kParseSpec, Rewrapped("\x01\x02\x03"), "expected a value");
+  ExpectRejects(kParseSpec, Rewrapped("[1,2,3]"), "must be an object");
+  ExpectRejects(kParseSpec,
+                Rewrapped(std::string(100000, '[') + std::string(100000, ']')),
+                "nested deeper than 128 levels");
   // Truncation at any prefix must throw, not crash; probe a spread of cuts.
   for (const size_t fraction : {1u, 2u, 3u, 5u, 7u}) {
     const std::string truncated = valid.substr(0, valid.size() * fraction / 8);
@@ -131,16 +138,20 @@ TEST(ShardProtocolTest, SpecRejectsProtocolVersionMismatch) {
   const std::string valid = ValidSpecJson();
   // A foreign envelope version.
   ExpectRejects(kParseSpec, Replaced(valid, "\"shard_version\":3", "\"shard_version\":4"),
-                "unsupported shard_version 4 in a checksummed envelope");
-  // A version-2 document outside the envelope is unverifiable and refused —
-  // otherwise the integrity layer would be optional exactly when it matters.
+                "unsupported shard_version 4 (this build speaks only 3)");
+  // A version-2 envelope: its body would parse, but only one version is live.
+  ExpectRejects(kParseSpec, Replaced(valid, "\"shard_version\":3", "\"shard_version\":2"),
+                "unsupported shard_version 2 (this build speaks only 3)");
+  // A version-1 document, and any flat document claiming a version, is
+  // unverifiable and refused before parsing — otherwise the integrity layer
+  // would be optional exactly when it matters.
+  ExpectRejects(kParseSpec, AsLegacyV1(valid), "not a checksummed document");
   ExpectRejects(kParseSpec,
-                Replaced(Body(valid), "{", "{\"shard_version\":2,"),
-                "must arrive in the checksummed envelope");
-  // A flat document claiming an unknown version.
+                Replaced(Body(valid), "{", "{\"shard_version\":3,"),
+                "not a checksummed document");
   ExpectRejects(kParseSpec,
                 Replaced(Body(valid), "{", "{\"shard_version\":7,"),
-                "unsupported shard_version 7");
+                "not a checksummed document");
 }
 
 TEST(ShardProtocolTest, EnvelopeDetectsCorruptionTruncationAndPadding) {
@@ -177,24 +188,6 @@ TEST(ShardProtocolTest, EnvelopeDetectsCorruptionTruncationAndPadding) {
   // And surgery with a recomputed envelope still parses: the checksum
   // protects transport, it is not a signature.
   EXPECT_NO_THROW(ShardResult::FromJson(Rewrapped(body)));
-}
-
-TEST(ShardProtocolTest, AcceptsLegacyV1DocumentsUnchecksummed) {
-  // A pre-upgrade (version 1) document: flat, no envelope, no sweep_id.
-  // Accepted for one release so in-flight shard files survive the upgrade.
-  const ShardSpec spec = ShardSpec::FromJson(AsLegacyV1(ValidSpecJson()));
-  EXPECT_EQ(spec.sweep_id, 0u);
-  EXPECT_EQ(spec.cells.size(), 2u);
-
-  const ShardResult result = ShardResult::FromJson(AsLegacyV1(ValidResultJson()));
-  EXPECT_EQ(result.sweep_id, 0u);
-  // Legacy results merge under the legacy equal-shard-count rule.
-  ShardMerger merger;
-  merger.Add(result);
-  EXPECT_TRUE(merger.complete());
-  // And running the legacy spec produces the same cells as the v2 document.
-  const ShardResult rerun = RunShard(spec);
-  EXPECT_EQ(rerun.cells.size(), 2u);
 }
 
 TEST(ShardProtocolTest, SpecRejectsSchemaDrift) {
@@ -262,11 +255,15 @@ TEST(ShardProtocolTest, SpecRejectsBadCellGeometry) {
 
 TEST(ShardProtocolTest, ResultRejectsMalformedDocuments) {
   const std::string valid = ValidResultJson();
-  ExpectRejects(kParseResult, "", "unexpected end of input");
+  ExpectRejects(kParseResult, "", "not a checksummed document");
   ExpectRejects(kParseResult, valid.substr(0, valid.size() / 2), "");
   ExpectRejects(kParseResult,
                 Replaced(valid, "\"shard_version\":3", "\"shard_version\":4"),
                 "unsupported shard_version 4");
+  ExpectRejects(kParseResult,
+                Replaced(valid, "\"shard_version\":3", "\"shard_version\":2"),
+                "unsupported shard_version 2");
+  ExpectRejects(kParseResult, AsLegacyV1(valid), "not a checksummed document");
   ExpectRejects(kParseResult, Doctored(valid, "\"index\":1", "\"index\":0"),
                 "duplicate cell index 0");
   ExpectRejects(kParseResult, Doctored(valid, "\"trials\":64", "\"trials\":-4"),
@@ -428,7 +425,7 @@ TEST(ShardProtocolTest, MergerUsesSweepIdentityNotShardCount) {
   const ShardResult second = RunShard(plan.shards()[1]);
   ASSERT_NE(first.sweep_id, 0u);
   {
-    // Version-2 documents from *re-partitioned* runs (a fleet driver split
+    // Documents from *re-partitioned* runs (a fleet driver split
     // a failed shard) carry differing shard_counts but the same sweep_id —
     // and they merge.
     ShardMerger merger;
@@ -453,18 +450,6 @@ TEST(ShardProtocolTest, MergerUsesSweepIdentityNotShardCount) {
       EXPECT_NE(std::string(e.what()).find("different sweep"), std::string::npos)
           << e.what();
     }
-  }
-  {
-    // Legacy documents (sweep_id 0) fall back to the equal-shard-count rule.
-    ShardMerger merger;
-    ShardResult legacy_first = first;
-    legacy_first.sweep_id = 0;
-    ShardResult legacy_second = second;
-    legacy_second.sweep_id = 0;
-    legacy_second.shard_count = 7;
-    legacy_second.shard_index = 6;
-    merger.Add(legacy_first);
-    EXPECT_THROW(merger.Add(legacy_second), std::invalid_argument);
   }
 }
 
