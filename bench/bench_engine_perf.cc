@@ -295,13 +295,14 @@ void BM_RngCounterMixDraws(benchmark::State& state) {
 BENCHMARK(BM_RngCounterMixDraws);
 
 // ---------------------------------------------------------------------------
-// Batched counter-mode trial kernel (SeedMode::kCounterV1). The paper's
-// mission-loss figures run short horizons against archival-grade MTBFs, so
-// almost every trial observes no event at all; the block prefilter computes
-// each trial's initial event delays straight from CounterMix and skips the
-// event loop for provably-censored trials. The items/sec ratio of the two
-// series below is the batched kernel's trial-throughput multiple over the
-// per-trial baseline (the CI acceptance gate wants >= 1.5x).
+// Batched trial kernel. The paper's mission-loss figures run short horizons
+// against archival-grade MTBFs, so almost every trial observes no event at
+// all; the block prefilter reads each trial's initial draws, tests them
+// against integer thresholds, and skips the event loop for provably
+// eventless trials. It runs on the xoshiro streams every default seed mode
+// uses (TrialStreams::kDerived) and on kCounterV1's counter streams. The
+// items/sec ratio of each kernel series to the per-trial baseline is its
+// trial-throughput multiple (the CI acceptance gate wants >= 1.5x).
 // ---------------------------------------------------------------------------
 
 StorageSimConfig ArchivalConfig() {
@@ -318,8 +319,8 @@ StorageSimConfig ArchivalConfig() {
 constexpr uint64_t kArchivalKey = 41;
 const Duration kArchivalMission = Duration::Years(5.0);
 
-// Baseline: one engine run per trial, per-trial xoshiro reseed — the path
-// every pre-kCounterV1 seed mode takes for mission-loss estimands.
+// Baseline: one engine run per trial with a per-trial xoshiro reseed and no
+// prefilter.
 void BM_MissionTrialsPerTrialBaseline(benchmark::State& state) {
   TrialRunner runner(ArchivalConfig());
   uint64_t trial = 0;
@@ -334,26 +335,35 @@ void BM_MissionTrialsPerTrialBaseline(benchmark::State& state) {
 }
 BENCHMARK(BM_MissionTrialsPerTrialBaseline);
 
-// Batched kernel: one prefilter pass per 256-trial block, engine runs only
-// for trials the prefilter cannot prove censored. One iteration = one block.
-void BM_MissionTrialsBatchedCounterKernel(benchmark::State& state) {
-  TrialRunner runner(ArchivalConfig());
+// One block through the batched kernel: one prefilter pass, then the engine
+// for the trials it could not prove eventless. Returns the block's losses
+// and adds the engine runs to *simulated.
+int64_t RunKernelBlock(TrialRunner& runner, TrialStreams streams, int64_t begin,
+                       int64_t* simulated) {
   uint8_t skip[kTrialPrefilterMaxBlock];
+  const bool prefiltered = runner.PrefilterBlock(
+      streams, kArchivalKey, begin, kTrialPrefilterMaxBlock, kArchivalMission, skip);
+  int64_t losses = 0;
+  for (int i = 0; i < kTrialPrefilterMaxBlock; ++i) {
+    if (prefiltered && skip[i] != 0) {
+      continue;
+    }
+    const RunOutcome outcome =
+        runner.RunTrial(streams, kArchivalKey, begin + i, kArchivalMission);
+    losses += outcome.loss_time.has_value() ? 1 : 0;
+    ++*simulated;
+  }
+  return losses;
+}
+
+// Kernel throughput: one iteration = one 256-trial block.
+void MissionTrialsBatchedKernel(benchmark::State& state, TrialStreams streams) {
+  TrialRunner runner(ArchivalConfig());
   int64_t begin = 0;
   int64_t losses = 0;
   int64_t simulated = 0;
   for (auto _ : state) {
-    const bool prefiltered = runner.PrefilterCensoredBlock(
-        kArchivalKey, begin, kTrialPrefilterMaxBlock, kArchivalMission, skip);
-    for (int i = 0; i < kTrialPrefilterMaxBlock; ++i) {
-      if (prefiltered && skip[i] != 0) {
-        continue;
-      }
-      const RunOutcome outcome = runner.RunCounter(
-          kArchivalKey, static_cast<uint64_t>(begin + i), kArchivalMission);
-      losses += outcome.loss_time.has_value() ? 1 : 0;
-      ++simulated;
-    }
+    losses += RunKernelBlock(runner, streams, begin, &simulated);
     begin += kTrialPrefilterMaxBlock;
     benchmark::DoNotOptimize(losses);
   }
@@ -361,44 +371,48 @@ void BM_MissionTrialsBatchedCounterKernel(benchmark::State& state) {
   state.counters["simulated_per_block"] = benchmark::Counter(
       static_cast<double>(simulated) / static_cast<double>(state.iterations()));
 }
+
+void BM_MissionTrialsBatchedCounterKernel(benchmark::State& state) {
+  MissionTrialsBatchedKernel(state, TrialStreams::kCounter);
+}
 BENCHMARK(BM_MissionTrialsBatchedCounterKernel);
+
+void BM_MissionTrialsBatchedDerivedKernel(benchmark::State& state) {
+  MissionTrialsBatchedKernel(state, TrialStreams::kDerived);
+}
+BENCHMARK(BM_MissionTrialsBatchedDerivedKernel);
 
 // Zero-allocation gate for the batched kernel, the same contract the
 // schedule/fire path and the reused trial loop already carry: after one
-// warm-up block has grown the engine's buffers, prefilter + engine replay of
-// a block must never touch the heap.
-void BM_BatchedCounterKernelSteadyStateAllocs(benchmark::State& state) {
+// warm-up block has grown the engine's buffers and cached the thresholds,
+// prefilter + engine replay of a block must never touch the heap.
+void BatchedKernelSteadyStateAllocs(benchmark::State& state, TrialStreams streams) {
   TrialRunner runner(ArchivalConfig());
-  uint8_t skip[kTrialPrefilterMaxBlock];
-  const auto run_block = [&](int64_t begin) {
-    const bool prefiltered = runner.PrefilterCensoredBlock(
-        kArchivalKey, begin, kTrialPrefilterMaxBlock, kArchivalMission, skip);
-    int64_t losses = 0;
-    for (int i = 0; i < kTrialPrefilterMaxBlock; ++i) {
-      if (prefiltered && skip[i] != 0) {
-        continue;
-      }
-      const RunOutcome outcome = runner.RunCounter(
-          kArchivalKey, static_cast<uint64_t>(begin + i), kArchivalMission);
-      losses += outcome.loss_time.has_value() ? 1 : 0;
-    }
-    return losses;
-  };
-  (void)run_block(0);  // warm-up: grow engine buffers
+  int64_t simulated = 0;
+  (void)RunKernelBlock(runner, streams, 0, &simulated);  // warm-up
   int64_t allocs = 0;
   for (auto _ : state) {
     const int64_t before = AllocCount();
-    benchmark::DoNotOptimize(run_block(0));
+    benchmark::DoNotOptimize(RunKernelBlock(runner, streams, 0, &simulated));
     allocs += AllocCount() - before;
   }
   state.SetItemsProcessed(state.iterations() * kTrialPrefilterMaxBlock);
   state.counters["allocs_per_block"] = benchmark::Counter(
       static_cast<double>(allocs) / static_cast<double>(state.iterations()));
   if (allocs != 0) {
-    state.SkipWithError("batched counter kernel performed steady-state heap allocations");
+    state.SkipWithError("batched kernel performed steady-state heap allocations");
   }
 }
+
+void BM_BatchedCounterKernelSteadyStateAllocs(benchmark::State& state) {
+  BatchedKernelSteadyStateAllocs(state, TrialStreams::kCounter);
+}
 BENCHMARK(BM_BatchedCounterKernelSteadyStateAllocs);
+
+void BM_BatchedDerivedKernelSteadyStateAllocs(benchmark::State& state) {
+  BatchedKernelSteadyStateAllocs(state, TrialStreams::kDerived);
+}
+BENCHMARK(BM_BatchedDerivedKernelSteadyStateAllocs);
 
 }  // namespace
 }  // namespace longstore

@@ -1,5 +1,6 @@
 #include "src/storage/replicated_system.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -7,6 +8,60 @@
 #include "src/rare/biased_sampler.h"
 
 namespace longstore {
+namespace {
+
+// The delay DrawFaultDelay schedules when the residual arithmetic cannot
+// produce a positive finite one.
+constexpr double kWeibullGuardHours = 1e-9;
+
+// The engine's Weibull residual-lifetime delay before its boundary guard:
+// with S(x) = exp(-(x/scale)^k), inverting u = S(x)/S(age) gives
+// x = scale * ((age/scale)^k - ln u)^(1/k). `age` is in scale units and
+// `age_pow_shape` is pow(age, shape).
+double WeibullResidualHours(double age, double age_pow_shape, double inv_shape,
+                            double scale_hours, double u) {
+  const double life = std::pow(age_pow_shape - std::log(u), inv_shape);
+  return (life - age) * scale_hours;
+}
+
+// Guard both floating-point boundaries: life == age can round the residual
+// to zero, and (age/scale)^shape can overflow to infinity for extreme
+// age/shape combinations. Either way the hazard is astronomical at this
+// age — fail soon, matching the old rejection loop's fallback.
+double GuardedResidualHours(double residual_hours) {
+  if (!(residual_hours > 0.0) ||
+      residual_hours == std::numeric_limits<double>::infinity()) {
+    return kWeibullGuardHours;
+  }
+  return residual_hours;
+}
+
+// Rng::NextDoubleOpen's uniform for the draw whose top 53 bits are `b`.
+double OpenUniform(uint64_t b) {
+  return (static_cast<double>(b) + 1.0) * 0x1.0p-53;
+}
+
+constexpr uint64_t kUniformStates = uint64_t{1} << 53;  // values of b
+
+// The first b in [0, kUniformStates] at which `reached(b)` holds, for a
+// predicate that turns from false to true once as b grows (kUniformStates
+// when it never holds).
+template <typename Pred>
+uint64_t FirstReached(const Pred& reached) {
+  uint64_t lo = 0;
+  uint64_t hi = kUniformStates;
+  while (lo < hi) {
+    const uint64_t mid = lo + (hi - lo) / 2;
+    if (reached(mid)) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
+}  // namespace
 
 std::optional<std::string> StorageSimConfig::Validate() const {
   if (replica_count < 1) {
@@ -194,6 +249,37 @@ void ReplicatedStorageSystem::InitializeState() {
   started_ = false;
 }
 
+double ReplicatedStorageSystem::InitialDrawSite::DelayHours(uint64_t b) const {
+  const double u = OpenUniform(b);
+  if (weibull) {
+    return GuardedResidualHours(
+        WeibullResidualHours(age0, age0_pow_shape, inv_shape, scale_hours, u));
+  }
+  return -std::log(u) * mean_hours;  // Rng::NextExponential
+}
+
+InitialDrawThreshold ComputeInitialDrawThreshold(
+    const ReplicatedStorageSystem::InitialDrawSite& site, double horizon_hours) {
+  // The guard maps a non-positive or overflowing Weibull residual to
+  // kWeibullGuardHours, which breaks monotonicity when the horizon is below
+  // that delay or when the largest draws overflow: leave every draw to the
+  // exact arithmetic then.
+  if (site.weibull &&
+      (!(horizon_hours >= kWeibullGuardHours) ||
+       std::isinf(WeibullResidualHours(site.age0, site.age0_pow_shape,
+                                       site.inv_shape, site.scale_hours,
+                                       OpenUniform(0))))) {
+    return InitialDrawThreshold{0, kUniformStates};
+  }
+  // T: the first b whose delay no longer clears the horizon.
+  const uint64_t t = FirstReached(
+      [&](uint64_t b) { return !(site.DelayHours(b) > horizon_hours); });
+  InitialDrawThreshold threshold;
+  threshold.beyond_below = t > kInitialDrawMargin ? t - kInitialDrawMargin : 0;
+  threshold.within_from = std::min(kUniformStates, t + kInitialDrawMargin);
+  return threshold;
+}
+
 void ReplicatedStorageSystem::BuildInitialDrawPlan() {
   // Mirrors Start()'s draw sequence exactly; see the scheduling helpers for
   // the arithmetic being replicated. Any change to the initial scheduling
@@ -328,9 +414,8 @@ Duration ReplicatedStorageSystem::DrawFaultDelay(int i, FaultKind kind) const {
   const ResolvedReplica& rp = resolved_[static_cast<size_t>(i)];
   if (rp.fault_distribution == FaultDistribution::kWeibull) {
     // Exact residual-lifetime draw, conditioned on survival to the replica's
-    // current age: with S(x) = exp(-(x/scale)^k), inverting
-    // u = S(x)/S(age) gives x = scale * ((age/scale)^k - ln u)^(1/k).
-    // One uniform, O(1), no rejection loop.
+    // current age (WeibullResidualHours). One uniform, O(1), no rejection
+    // loop.
     const double shape = rp.weibull_shape;
     const Duration scale =
         kind == FaultKind::kVisible ? rp.weibull_scale_mv : rp.weibull_scale_ml;
@@ -341,17 +426,8 @@ Duration ReplicatedStorageSystem::DrawFaultDelay(int i, FaultKind kind) const {
           *rng_, shape, scale, age, kind, /*forcing_eligible=*/sim_->now().is_zero());
     }
     const double u = rng_->NextDoubleOpen();
-    const double life = std::pow(std::pow(age, shape) - std::log(u), 1.0 / shape);
-    const double residual_hours = (life - age) * scale.hours();
-    // Guard both floating-point boundaries: life == age can round the
-    // residual to zero, and (age/scale)^shape can overflow to infinity for
-    // extreme age/shape combinations. Either way the hazard is astronomical
-    // at this age — fail soon, matching the old rejection loop's fallback.
-    if (!(residual_hours > 0.0) ||
-        residual_hours == std::numeric_limits<double>::infinity()) {
-      return Duration::Hours(1e-9);
-    }
-    return Duration::Hours(residual_hours);
+    return Duration::Hours(GuardedResidualHours(WeibullResidualHours(
+        age, std::pow(age, shape), 1.0 / shape, scale.hours(), u)));
   }
   const Duration mean = kind == FaultKind::kVisible ? rp.mv : rp.ml;
   if (fault_sampler_ != nullptr) {
@@ -811,9 +887,32 @@ TrialRunner::TrialRunner(const StorageSimConfig& config, ConfigValidation valida
 
 TrialRunner::~TrialRunner() = default;
 
+void TrialRunner::SeedTrial(TrialStreams streams, uint64_t seed, int64_t trial) {
+  if (streams == TrialStreams::kCounter) {
+    rng_.ReseedCounter(seed, static_cast<uint64_t>(trial));
+  } else {
+    rng_.Reseed(DeriveSeed(seed, static_cast<uint64_t>(trial)));
+  }
+}
+
 RunOutcome TrialRunner::Run(uint64_t seed, Duration horizon) {
-  sim_.Reset();
   rng_.Reseed(seed);
+  return RunSeeded(horizon);
+}
+
+RunOutcome TrialRunner::RunCounter(uint64_t key, uint64_t trial, Duration horizon) {
+  rng_.ReseedCounter(key, trial);
+  return RunSeeded(horizon);
+}
+
+RunOutcome TrialRunner::RunTrial(TrialStreams streams, uint64_t seed,
+                                 int64_t trial, Duration horizon) {
+  SeedTrial(streams, seed, trial);
+  return RunSeeded(horizon);
+}
+
+RunOutcome TrialRunner::RunSeeded(Duration horizon) {
+  sim_.Reset();
   system_.Reset();
   if (sampler_ != nullptr) {
     // The forcing window is the trial horizon: for mission-loss estimation
@@ -833,29 +932,9 @@ RunOutcome TrialRunner::Run(uint64_t seed, Duration horizon) {
   return outcome;
 }
 
-RunOutcome TrialRunner::RunCounter(uint64_t key, uint64_t trial, Duration horizon) {
-  sim_.Reset();
-  rng_.ReseedCounter(key, trial);
-  system_.Reset();
-  if (sampler_ != nullptr) {
-    sampler_->BeginTrial(horizon);
-  }
-  system_.Start();
-  sim_.RunUntil(horizon);
-  RunOutcome outcome;
-  outcome.metrics = system_.metrics();
-  if (system_.lost()) {
-    outcome.loss_time = system_.loss_time();
-  }
-  if (sampler_ != nullptr) {
-    outcome.log_weight = sampler_->log_weight();
-  }
-  return outcome;
-}
-
-bool TrialRunner::PrefilterCensoredBlock(uint64_t key, int64_t begin_trial,
-                                         int count, Duration horizon,
-                                         uint8_t* skip) {
+bool TrialRunner::PrefilterBlock(TrialStreams streams, uint64_t seed,
+                                 int64_t begin_trial, int count,
+                                 Duration horizon, uint8_t* skip) {
   if (sampler_ != nullptr || horizon.is_infinite()) {
     return false;  // biased draws / unbounded runs: every trial must execute
   }
@@ -868,49 +947,36 @@ bool TrialRunner::PrefilterCensoredBlock(uint64_t key, int64_t begin_trial,
   const std::vector<ReplicatedStorageSystem::InitialDrawSite>& sites =
       system_.initial_draw_sites();
   const double horizon_hours = horizon.hours();
-  // Structure-of-arrays sweep: sites outer, trials inner, so each site's
-  // parameters stay in registers while the counter streams advance across
-  // the block. Draw j of trial t is CounterMix(key, t, j) — exactly the
-  // uniform RunCounter's Start() would consume at that site — mapped through
-  // the engine's delay arithmetic (DrawFaultDelay / NextExponential).
-  double min_delay_hours[kTrialPrefilterMaxBlock];
-  for (int i = 0; i < count; ++i) {
-    min_delay_hours[i] = std::numeric_limits<double>::infinity();
+  if (!(horizon_hours == threshold_hours_)) {
+    thresholds_.resize(sites.size());  // allocates on first use only
+    for (size_t j = 0; j < sites.size(); ++j) {
+      thresholds_[j] = ComputeInitialDrawThreshold(sites[j], horizon_hours);
+    }
+    threshold_hours_ = horizon_hours;
   }
-  uint64_t draw_index = 0;
-  for (const auto& site : sites) {
-    if (site.weibull) {
-      for (int i = 0; i < count; ++i) {
-        const uint64_t bits =
-            CounterMix(key, static_cast<uint64_t>(begin_trial + i), draw_index);
-        const double u = (static_cast<double>(bits >> 11) + 1.0) * 0x1.0p-53;
-        const double life =
-            std::pow(site.age0_pow_shape - std::log(u), site.inv_shape);
-        double delay = (life - site.age0) * site.scale_hours;
-        if (!(delay > 0.0) || delay == std::numeric_limits<double>::infinity()) {
-          delay = 1e-9;  // DrawFaultDelay's floating-point boundary guard
-        }
-        if (delay < min_delay_hours[i]) {
-          min_delay_hours[i] = delay;
-        }
-      }
-    } else {
-      for (int i = 0; i < count; ++i) {
-        const uint64_t bits =
-            CounterMix(key, static_cast<uint64_t>(begin_trial + i), draw_index);
-        const double u = (static_cast<double>(bits >> 11) + 1.0) * 0x1.0p-53;
-        const double delay = -std::log(u) * site.mean_hours;
-        if (delay < min_delay_hours[i]) {
-          min_delay_hours[i] = delay;
-        }
+  // Trial t's draws come from rng_ seeded exactly as RunTrial seeds it, so
+  // draw j is the uniform Start() would consume at site j. A trial stops at
+  // its first draw inside the horizon.
+  for (int i = 0; i < count; ++i) {
+    SeedTrial(streams, seed, begin_trial + i);
+    uint8_t eventless = 1;
+    for (size_t j = 0; j < sites.size(); ++j) {
+      if (!InitialDrawBeyond(sites[j], thresholds_[j], rng_.Next() >> 11,
+                             horizon_hours)) {
+        eventless = 0;
+        break;
       }
     }
-    ++draw_index;
-  }
-  for (int i = 0; i < count; ++i) {
-    skip[i] = min_delay_hours[i] > horizon_hours ? 1 : 0;
+    skip[i] = eventless;
   }
   return true;
+}
+
+bool TrialRunner::PrefilterCensoredBlock(uint64_t key, int64_t begin_trial,
+                                         int count, Duration horizon,
+                                         uint8_t* skip) {
+  return PrefilterBlock(TrialStreams::kCounter, key, begin_trial, count,
+                        horizon, skip);
 }
 
 RunOutcome RunToLossOrHorizon(const Scenario& scenario, uint64_t seed,

@@ -20,6 +20,8 @@
 #ifndef LONGSTORE_SRC_STORAGE_REPLICATED_SYSTEM_H_
 #define LONGSTORE_SRC_STORAGE_REPLICATED_SYSTEM_H_
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -49,6 +51,13 @@ enum class ReplicaState {
 // the sweep layer's trial block (kTrialBlockSize in src/sweep/batch_exec.h,
 // which static_asserts the two agree) so scratch arrays live on the stack.
 inline constexpr int kTrialPrefilterMaxBlock = 256;
+
+// How trial t of a block seeds its generator. kDerived is the stream every
+// xoshiro seed mode runs (TrialRunner::Run(DeriveSeed(seed, t))); kCounter
+// is kCounterV1's (TrialRunner::RunCounter(seed, t)). Either way draw n of
+// trial t is a pure function of (seed, t, n), which is what lets the
+// eventless-trial prefilter read a trial's initial draws without running it.
+enum class TrialStreams { kDerived, kCounter };
 
 // Whether the constructor re-validates the scenario. Callers that already
 // ran Scenario::Validate() / StorageSimConfig::Validate() (the Monte Carlo
@@ -114,6 +123,13 @@ class ReplicatedStorageSystem : public SimClient {
     double scale_hours = 0.0;
     double age0 = 0.0;            // initial age in scale units
     double age0_pow_shape = 0.0;  // pow(age0, shape), hoisted out of the loop
+
+    // The delay, in hours, the engine schedules for this site when the
+    // draw's top 53 bits (Rng::Next() >> 11) are `b`: the exact expression
+    // of Rng::NextExponential / DrawFaultDelay on u = (b + 1) * 2^-53.
+    // Non-increasing in b up to libm rounding, except where a Weibull
+    // site's boundary guard acts (see InitialDrawThreshold).
+    double DelayHours(uint64_t b) const;
   };
   const std::vector<InitialDrawSite>& initial_draw_sites() const {
     return initial_draw_sites_;
@@ -269,6 +285,35 @@ class ReplicatedStorageSystem : public SimClient {
   bool started_ = false;
 };
 
+// The integer form of one initial draw site's "does this draw land beyond
+// the horizon?" test, so the per-trial prefilter needs no log or pow. With
+// b the draw's top 53 bits, the site's delay is non-increasing in b
+// (-log(u) moves by more than an ulp between adjacent b, and pow and the
+// products after it are monotone), so the draws landing beyond the horizon
+// are the b below one threshold T, bisected once on the exact expression.
+// The exact arithmetic still decides every b within kInitialDrawMargin of
+// T, where rounding could put neighbours out of order, and every b of a
+// Weibull site whose boundary guard (DrawFaultDelay) would break the order.
+// The verdicts therefore equal the engine's, draw for draw.
+struct InitialDrawThreshold {
+  uint64_t beyond_below = 0;  // b < beyond_below: delay > horizon
+  uint64_t within_from = 0;   // b >= within_from: delay <= horizon
+  // Between the two: compare InitialDrawSite::DelayHours(b) to the horizon.
+};
+inline constexpr uint64_t kInitialDrawMargin = uint64_t{1} << 12;
+InitialDrawThreshold ComputeInitialDrawThreshold(
+    const ReplicatedStorageSystem::InitialDrawSite& site, double horizon_hours);
+// The prefilter's verdict for one draw: true when the site's delay for `b`
+// is strictly beyond `horizon_hours`.
+inline bool InitialDrawBeyond(const ReplicatedStorageSystem::InitialDrawSite& site,
+                              const InitialDrawThreshold& threshold, uint64_t b,
+                              double horizon_hours) {
+  if (b < threshold.beyond_below) {
+    return true;
+  }
+  return b < threshold.within_from && site.DelayHours(b) > horizon_hours;
+}
+
 // Convenience one-shot runs used by the Monte Carlo harness and examples.
 struct RunOutcome {
   // Time of data loss; nullopt if the system survived the horizon (censored).
@@ -311,32 +356,51 @@ class TrialRunner {
   // Counter-mode trial: like Run(), but the generator is reseeded with
   // ReseedCounter(key, trial) so draw #n of the trial is the pure function
   // CounterMix(key, trial, n). Used by SeedMode::kCounterV1 sweeps; the
-  // addressability is what makes trial-range sharding and the batch
-  // prefilter below deterministic.
+  // addressability is what makes trial-range sharding deterministic.
   RunOutcome RunCounter(uint64_t key, uint64_t trial, Duration horizon);
 
-  // Batch censored-trial prefilter for counter-mode trials. For `count`
-  // consecutive trials starting at `begin_trial` (count <=
-  // kTrialPrefilterMaxBlock), computes each trial's initial fault/common-mode
-  // event delays directly from CounterMix — the engine's exact arithmetic on
-  // the exact uniforms RunCounter would consume — and sets skip[i] = 1 when
-  // the trial provably processes no event within `horizon`: every randomized
-  // initial event lands strictly after the horizon and so does the earliest
-  // deterministic one. A skipped trial's outcome is exactly RunOutcome{}
-  // (censored, zero metrics). Returns false (skip[] untouched) when the
-  // prefilter cannot apply: an importance sampler is attached, or the
-  // horizon is infinite, or a deterministic initial event (scrub tick)
-  // falls inside the horizon.
+  // Trial `trial` of the block stream `streams` rooted at `seed`:
+  // Run(DeriveSeed(seed, trial)) or RunCounter(seed, trial).
+  RunOutcome RunTrial(TrialStreams streams, uint64_t seed, int64_t trial,
+                      Duration horizon);
+
+  // The eventless-trial prefilter, one kernel for every seed mode. For
+  // `count` consecutive trials of `streams` starting at `begin_trial`
+  // (count <= kTrialPrefilterMaxBlock), reads each trial's initial draws —
+  // the exact uniforms RunTrial's Start() would consume — and sets
+  // skip[i] = 1 when the trial provably processes no event within
+  // `horizon`: every randomized initial event lands strictly after the
+  // horizon, and so does the earliest deterministic one. Each draw is
+  // tested against its site's InitialDrawThreshold (computed the first time
+  // a horizon is seen, then cached), so the skip set is exactly the
+  // engine's; a trial stops reading draws at the first one inside the
+  // horizon. A skipped trial's outcome is exactly RunOutcome{} (censored,
+  // zero metrics). Returns false (skip[] untouched) when the prefilter
+  // cannot apply: an importance sampler is attached, or the horizon is
+  // infinite, or a deterministic initial event (scrub tick) falls inside
+  // the horizon.
+  bool PrefilterBlock(TrialStreams streams, uint64_t seed, int64_t begin_trial,
+                      int count, Duration horizon, uint8_t* skip);
+
+  // PrefilterBlock over counter-mode trials (TrialStreams::kCounter, `key`
+  // the counter key).
   bool PrefilterCensoredBlock(uint64_t key, int64_t begin_trial, int count,
                               Duration horizon, uint8_t* skip);
 
   const ReplicatedStorageSystem& system() const { return system_; }
 
  private:
+  void SeedTrial(TrialStreams streams, uint64_t seed, int64_t trial);
+  RunOutcome RunSeeded(Duration horizon);  // the trial on the seeded rng_
+
   Simulator sim_;
   Rng rng_;
   ReplicatedStorageSystem system_;
   std::unique_ptr<BiasedFaultSampler> sampler_;  // null = unbiased
+  // Per-site prefilter thresholds for the horizon in threshold_hours_
+  // (NaN until a prefilter first runs).
+  std::vector<InitialDrawThreshold> thresholds_;
+  double threshold_hours_ = std::numeric_limits<double>::quiet_NaN();
 };
 
 // Runs a fresh system until data loss or `horizon`, whichever comes first.

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "src/obs/metrics.h"
+#include "src/rare/biased_sampler.h"
 #include "src/storage/replicated_system.h"
 #include "src/sweep/worker_pool.h"
 
@@ -62,8 +63,8 @@ static_assert(kTrialBlockSize == kTrialPrefilterMaxBlock,
 // Runs body(runner, job_index, begin_trial, end_trial, block_accumulator)
 // once per index-aligned block of every job, executed on `pool` with at most
 // `lanes` concurrent lanes. The body owns the whole block span — this is the
-// batched (SoA-friendly) entry point: a counter-mode body can prefilter or
-// vectorize across the span instead of paying per-trial dispatch. Blocks of
+// batched entry point: the sweep body prefilters the whole span (every seed
+// mode) instead of paying per-trial dispatch. Blocks of
 // different jobs are interleaved in one work list with no barrier between
 // jobs, so a slow job cannot strand workers that finished a fast one.
 template <typename Accumulator, typename SpanBody>
@@ -105,7 +106,10 @@ void RunTrialBlockSpans(WorkerPool& pool, int lanes,
       TrialBatchJob<Accumulator>& job = jobs[unit.job];
       std::unique_ptr<TrialRunner>& runner = runners[unit.job];
       if (!runner) {
-        runner = job.bias != nullptr
+        // An identity bias draws exactly the unbiased path's uniforms with
+        // every weight exactly 1 (src/rare/biased_sampler.h), so it runs the
+        // sampler-free runner, which the eventless-trial prefilter accepts.
+        runner = job.bias != nullptr && !job.bias->is_identity()
                      ? std::make_unique<TrialRunner>(
                            *job.scenario, ConfigValidation::kPreValidated, *job.bias)
                      : std::make_unique<TrialRunner>(*job.scenario,

@@ -93,45 +93,67 @@ void AccumulateOutcome(SweepOptions::Estimand estimand, Duration horizon,
   acc.metrics.Merge(outcome.metrics);
 }
 
+// Folds one trial the prefilter proved eventless: exactly what
+// AccumulateOutcome does with RunOutcome{} (censored, zero metrics), minus
+// the outcome and the identity merge of its zero SimMetrics.
+void AccumulateEventless(SweepOptions::Estimand estimand, Duration horizon,
+                         TrialAccumulator& acc) {
+  using Estimand = SweepOptions::Estimand;
+  switch (estimand) {
+    case Estimand::kMttdl:
+      acc.censored++;
+      break;
+    case Estimand::kLossProbability:
+      break;
+    case Estimand::kCensoredMttdl:
+      acc.observed_years += horizon.years();
+      break;
+    case Estimand::kWeightedLossProbability:
+      acc.weighted.Add(0.0);
+      break;
+  }
+}
+
 // Execution parameters of one cell's trial spans, shared by the in-process
 // sweep loop and RunCellTrialRange so the two can never diverge.
 struct CellTrialParams {
   SweepOptions::Estimand estimand = SweepOptions::Estimand::kMttdl;
   Duration horizon;
-  uint64_t seed = 0;     // per-trial derivation root, or the kCounterV1 key
-  bool counter = false;  // kCounterV1: counter streams + batch prefilter
+  uint64_t seed = 0;  // per-trial derivation root, or the kCounterV1 key
+  TrialStreams streams = TrialStreams::kDerived;
 };
 
-// Runs trials [begin, end) — one index-aligned block — into `acc`. The
-// counter path is the batched SoA kernel: one prefilter pass maps the
-// block's initial draws straight through CounterMix and the engine's delay
-// arithmetic, so trials that provably process no event within the horizon
-// contribute their (censored, zero-metric) outcome without touching the
-// event loop.
+// Runs trials [begin, end) — one index-aligned block — into `acc`, in every
+// seed mode through the same batched kernel: one prefilter pass reads the
+// block's initial draws (TrialRunner::PrefilterBlock), trials that provably
+// process no event within the horizon fold straight into the accumulator,
+// and only the rest run the event loop. Folding stays in trial order.
 void ExecuteCellTrialSpan(TrialRunner& runner, const CellTrialParams& params,
                           int64_t begin, int64_t end, TrialAccumulator& acc) {
-  if (params.counter) {
-    uint8_t skip[kTrialPrefilterMaxBlock];
-    const bool prefiltered = runner.PrefilterCensoredBlock(
-        params.seed, begin, static_cast<int>(end - begin), params.horizon, skip);
-    const RunOutcome censored;
-    for (int64_t t = begin; t < end; ++t) {
-      if (prefiltered && skip[t - begin] != 0) {
-        AccumulateOutcome(params.estimand, params.horizon, censored, acc);
-      } else {
-        AccumulateOutcome(
-            params.estimand, params.horizon,
-            runner.RunCounter(params.seed, static_cast<uint64_t>(t),
-                              params.horizon),
-            acc);
-      }
+  const int count = static_cast<int>(end - begin);
+  uint8_t skip[kTrialPrefilterMaxBlock];
+  const bool prefiltered = runner.PrefilterBlock(
+      params.streams, params.seed, begin, count, params.horizon, skip);
+  int64_t skipped = 0;
+  for (int i = 0; i < count; ++i) {
+    if (prefiltered && skip[i] != 0) {
+      AccumulateEventless(params.estimand, params.horizon, acc);
+      ++skipped;
+    } else {
+      AccumulateOutcome(params.estimand, params.horizon,
+                        runner.RunTrial(params.streams, params.seed, begin + i,
+                                        params.horizon),
+                        acc);
     }
-    return;
   }
-  for (int64_t t = begin; t < end; ++t) {
-    const uint64_t seed = DeriveSeed(params.seed, static_cast<uint64_t>(t));
-    AccumulateOutcome(params.estimand, params.horizon,
-                      runner.Run(seed, params.horizon), acc);
+  if (prefiltered && obs::Enabled()) {
+    // Kernel accounting, flushed once per block (never per trial).
+    static obs::Counter& m_blocks =
+        obs::Registry::Global().counter("sweep.prefilter_blocks");
+    static obs::Counter& m_skipped =
+        obs::Registry::Global().counter("sweep.prefilter_skipped");
+    m_blocks.Add(1);
+    m_skipped.Add(skipped);
   }
 }
 
@@ -517,8 +539,10 @@ std::vector<SweepCellExecution> RunSweepCellsImpl(
   const Duration horizon = SweepHorizon(options);
   const FaultBias* bias =
       estimand == Estimand::kWeightedLossProbability ? &options.bias : nullptr;
-  const bool counter_mode =
-      options.seed_mode == SweepOptions::SeedMode::kCounterV1;
+  const TrialStreams streams =
+      options.seed_mode == SweepOptions::SeedMode::kCounterV1
+          ? TrialStreams::kCounter
+          : TrialStreams::kDerived;
 
   while (true) {
     // Gather this round's work: every unconverged cell's next trial range.
@@ -549,7 +573,7 @@ std::vector<SweepCellExecution> RunSweepCellsImpl(
                            int64_t end, TrialAccumulator& acc) {
                          const CellState& state = states[job_cells[job]];
                          const CellTrialParams params{estimand, horizon,
-                                                      state.seed, counter_mode};
+                                                      state.seed, streams};
                          ExecuteCellTrialSpan(runner, params, begin, end, acc);
                        });
 
@@ -672,7 +696,8 @@ std::vector<TrialAccumulator> RunCellTrialRange(WorkerPool& pool,
   job.begin_trial = begin_trial;
   job.end_trial = end_trial;
   const CellTrialParams params{options.estimand, SweepHorizon(options),
-                               SweepCellSeed(options, cell), /*counter=*/true};
+                               SweepCellSeed(options, cell),
+                               TrialStreams::kCounter};
   const int lanes = options.mc.threads > 0 ? options.mc.threads : pool.size();
   RunTrialBlockSpans(pool, lanes, jobs,
                      [&params](TrialRunner& runner, size_t, int64_t begin,

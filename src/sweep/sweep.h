@@ -205,10 +205,14 @@ struct SweepOptions {
     // but draw n of trial t is the pure function CounterMix(key, t, n) —
     // every draw of every trial is addressable in O(1). This is what makes
     // *trial-range* sharding deterministic (a worker can run trials
-    // [a, b) of a cell and the fold is bit-identical to a single process)
-    // and enables the batched SoA prefilter over initial draws. Streams
-    // differ from every xoshiro-based mode; the "V1" is the stream-freeze
-    // version (see src/util/README.md).
+    // [a, b) of a cell and the fold is bit-identical to a single process).
+    // The eventless-trial prefilter is not specific to this mode: every
+    // seed mode's trial draws are a pure function of (cell_seed, t, n), so
+    // all four run the same kernel (TrialRunner::PrefilterBlock), whose
+    // integer thresholds fall back to the engine's exact arithmetic near
+    // each cut-off and so skip exactly the trials the engine would find
+    // eventless. Streams differ from every xoshiro-based mode; the "V1" is
+    // the stream-freeze version (see src/util/README.md).
     kCounterV1,
   };
 

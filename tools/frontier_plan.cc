@@ -50,6 +50,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sweep/worker_pool.h"
+#include "tools/cli_flags.h"
 
 namespace longstore {
 namespace {
@@ -67,7 +68,7 @@ int Usage(const char* argv0) {
   return 1;
 }
 
-std::vector<double> ParseYearList(const std::string& text) {
+std::vector<double> ParseYearList(const char* program, const std::string& text) {
   std::vector<double> years;
   size_t start = 0;
   while (start <= text.size()) {
@@ -77,7 +78,7 @@ std::vector<double> ParseYearList(const std::string& text) {
     }
     const std::string token = text.substr(start, comma - start);
     if (!token.empty()) {
-      years.push_back(std::atof(token.c_str()));
+      years.push_back(ParseFlag<double>(program, "--migrate-at", token.c_str()));
     }
     start = comma + 1;
   }
@@ -137,19 +138,19 @@ int Run(int argc, char** argv) {
     } else if (long_arg(arg, "--migrate-at", &value)) {
       migrate_at = value;
     } else if (long_arg(arg, "--mission-years", &value)) {
-      mission_years = std::atof(value);
+      mission_years = ParseFlag<double>(argv[0], "--mission-years", value);
     } else if (long_arg(arg, "--target-loss", &value)) {
-      target_loss = std::atof(value);
+      target_loss = ParseFlag<double>(argv[0], "--target-loss", value);
     } else if (long_arg(arg, "--budget", &value)) {
-      budget = std::atof(value);
+      budget = ParseFlag<double>(argv[0], "--budget", value);
     } else if (long_arg(arg, "--archive-gb", &value)) {
-      archive_gb = std::atof(value);
+      archive_gb = ParseFlag<double>(argv[0], "--archive-gb", value);
     } else if (long_arg(arg, "--trials", &value)) {
-      trials = std::atol(value);
+      trials = ParseFlag<long>(argv[0], "--trials", value);
     } else if (long_arg(arg, "--seed", &value)) {
-      seed = std::atol(value);
+      seed = ParseFlag<long>(argv[0], "--seed", value);
     } else if (long_arg(arg, "--threads", &value)) {
-      threads = std::atoi(value);
+      threads = ParseFlag<int>(argv[0], "--threads", value);
     } else {
       std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], arg);
       return Usage(argv[0]);
@@ -197,7 +198,7 @@ int Run(int argc, char** argv) {
     space.mixed_media = true;
   }
   if (!migrate_at.empty()) {
-    space.migration_years = ParseYearList(migrate_at);
+    space.migration_years = ParseYearList(argv[0], migrate_at);
   }
   if (trials > 0) {
     options.trials = trials;

@@ -41,6 +41,7 @@
 #include "src/shard/shard.h"
 #include "src/sweep/sweep.h"
 #include "tools/figure_sweeps.h"
+#include "tools/cli_flags.h"
 
 namespace longstore {
 namespace {
@@ -130,9 +131,9 @@ int Main(int argc, char** argv) {
     } else if (long_arg(arg, "--shard", &value)) {
       shard_file = value;
     } else if (long_arg(arg, "--precision", &value)) {
-      precision = std::atof(value);
+      precision = ParseFlag<double>(argv[0], "--precision", value);
     } else if (long_arg(arg, "--max-trials", &value)) {
-      max_trials = std::atol(value);
+      max_trials = ParseFlag<long>(argv[0], "--max-trials", value);
     } else if (long_arg(arg, "--expect-source", &value)) {
       expect_source = value;
     } else {

@@ -66,6 +66,7 @@
 #include "src/scenario/scenario.h"
 #include "src/sweep/sweep.h"
 #include "tools/figure_sweeps.h"
+#include "tools/cli_flags.h"
 
 namespace longstore {
 namespace {
@@ -214,17 +215,18 @@ int Main(int argc, char** argv) {
     } else if (long_arg(arg, "--worker", &value)) {
       fleet.worker_path = value;
     } else if (long_arg(arg, "--shards", &value)) {
-      fleet.shard_count = std::atoi(value);
+      fleet.shard_count = ParseFlag<int>(argv[0], "--shards", value);
     } else if (long_arg(arg, "--max-parallel", &value)) {
-      fleet.max_parallel = std::atoi(value);
+      fleet.max_parallel = ParseFlag<int>(argv[0], "--max-parallel", value);
     } else if (long_arg(arg, "--max-retries", &value)) {
-      fleet.max_retries = std::atoi(value);
+      fleet.max_retries = ParseFlag<int>(argv[0], "--max-retries", value);
     } else if (long_arg(arg, "--timeout-s", &value)) {
-      fleet.timeout_seconds = std::atof(value);
+      fleet.timeout_seconds = ParseFlag<double>(argv[0], "--timeout-s", value);
     } else if (long_arg(arg, "--backoff-initial-s", &value)) {
-      fleet.backoff_initial_seconds = std::atof(value);
+      fleet.backoff_initial_seconds =
+          ParseFlag<double>(argv[0], "--backoff-initial-s", value);
     } else if (long_arg(arg, "--threads", &value)) {
-      fleet.worker_threads = std::atoi(value);
+      fleet.worker_threads = ParseFlag<int>(argv[0], "--threads", value);
     } else if (long_arg(arg, "--tmp", &value)) {
       tmp_dir = value;
     } else if (long_arg(arg, "--format", &value)) {
@@ -233,16 +235,16 @@ int Main(int argc, char** argv) {
         return Usage(argv[0]);
       }
     } else if (long_arg(arg, "--trials", &value)) {
-      trials = std::atol(value);
+      trials = ParseFlag<long>(argv[0], "--trials", value);
     } else if (long_arg(arg, "--seed", &value)) {
-      seed = std::strtoull(value, nullptr, 0);
+      seed = ParseFlag<uint64_t>(argv[0], "--seed", value);
     } else if (long_arg(arg, "--estimand", &value)) {
       estimand = value;
       if (estimand != "mttdl" && estimand != "loss") {
         return Usage(argv[0]);
       }
     } else if (long_arg(arg, "--mission-years", &value)) {
-      mission_years = std::atof(value);
+      mission_years = ParseFlag<double>(argv[0], "--mission-years", value);
     } else if (long_arg(arg, "--seed-mode", &value)) {
       seed_mode = value;
       if (seed_mode != "shared_root" && seed_mode != "per_cell_derived" &&
@@ -252,9 +254,9 @@ int Main(int argc, char** argv) {
     } else if (long_arg(arg, "--fail-mode", &value)) {
       fleet.fail_mode = value;
     } else if (long_arg(arg, "--fail-prob", &value)) {
-      fleet.fail_prob = std::atof(value);
+      fleet.fail_prob = ParseFlag<double>(argv[0], "--fail-prob", value);
     } else if (long_arg(arg, "--fail-seed", &value)) {
-      fleet.fail_seed = std::strtoull(value, nullptr, 0);
+      fleet.fail_seed = ParseFlag<uint64_t>(argv[0], "--fail-seed", value);
     } else if (long_arg(arg, "--metrics-out", &value)) {
       metrics_out = value;
     } else if (long_arg(arg, "--trace-out", &value)) {

@@ -57,6 +57,7 @@
 #include "src/obs/trace.h"
 #include "src/service/service_protocol.h"
 #include "src/service/sweep_service.h"
+#include "tools/cli_flags.h"
 
 namespace longstore {
 namespace {
@@ -163,17 +164,17 @@ int Main(int argc, char** argv) {
     } else if (long_arg(arg, "--tmp", &value)) {
       options.fleet.temp_dir = value;
     } else if (long_arg(arg, "--shards", &value)) {
-      options.fleet.shard_count = std::atoi(value);
+      options.fleet.shard_count = ParseFlag<int>(argv[0], "--shards", value);
     } else if (long_arg(arg, "--max-parallel", &value)) {
-      options.fleet.max_parallel = std::atoi(value);
+      options.fleet.max_parallel = ParseFlag<int>(argv[0], "--max-parallel", value);
     } else if (long_arg(arg, "--threads", &value)) {
-      options.fleet.worker_threads = std::atoi(value);
+      options.fleet.worker_threads = ParseFlag<int>(argv[0], "--threads", value);
     } else if (long_arg(arg, "--timeout-s", &value)) {
-      options.fleet.timeout_seconds = std::atof(value);
+      options.fleet.timeout_seconds = ParseFlag<double>(argv[0], "--timeout-s", value);
     } else if (long_arg(arg, "--cache-capacity", &value)) {
-      cache_capacity = std::atol(value);
+      cache_capacity = ParseFlag<long>(argv[0], "--cache-capacity", value);
     } else if (long_arg(arg, "--max-requests", &value)) {
-      max_requests = std::atol(value);
+      max_requests = ParseFlag<long>(argv[0], "--max-requests", value);
     } else if (long_arg(arg, "--metrics-out", &value)) {
       metrics_out = value;
     } else if (long_arg(arg, "--trace-out", &value)) {
