@@ -2,8 +2,9 @@
 // execute a single-shard sweep document.
 //
 // The byte-identity contract (src/frontier/README.md) hangs on this layer:
-// the frontier builds each candidate's sweep document exactly once and hands
-// the *same bytes* to whichever backend is configured. The in-process pool
+// the frontier builds each wave document (up to kFrontierWaveCells phase
+// scenarios of one mission, one cell each) exactly once and hands the *same
+// bytes* to whichever backend is configured. The in-process pool
 // backend runs the document through the identical execute/finalize path the
 // resident service uses (RunSweepCells -> FinalizeSweepCells -> ToJson), so
 // the result bytes — and therefore the frontier JSON assembled from them —
@@ -34,7 +35,8 @@ class FrontierEvalBackend {
 
   virtual ~FrontierEvalBackend() = default;
 
-  // Executes a checksummed single-shard sweep document (shard 0 of 1).
+  // Executes a checksummed single-shard sweep document (shard 0 of 1): a
+  // frontier wave document, one result cell per document cell, in order.
   // Throws std::runtime_error on transport/service failure and
   // std::invalid_argument on a malformed document.
   virtual Eval Evaluate(const std::string& sweep_document) = 0;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -140,28 +141,78 @@ FrontierEvaluator::FrontierEvaluator(FrontierOptions options,
   }
 }
 
-FrontierEvaluator::ScenarioEval FrontierEvaluator::EvaluateScenario(
-    const Scenario& scenario, Duration mission) {
+namespace {
+
+std::string MemoKey(const Scenario& scenario, Duration mission) {
   std::string key;
   json::AppendUint64Hex(key, scenario.CanonicalHash());
   key += '/';
   json::AppendDouble(key, mission.hours());
-  if (auto it = memo_.find(key); it != memo_.end()) {
-    ++stats_.memo_hits;
-    if (obs::Enabled()) {
-      static obs::Counter& memo_saved =
-          obs::Registry::Global().counter("frontier.evals_memo_saved");
-      memo_saved.Add();
-    }
-    ScenarioEval eval = it->second;
-    eval.source = "memo";
-    return eval;
+  return key;
+}
+
+}  // namespace
+
+FrontierEvaluator::ScenarioEval FrontierEvaluator::EvaluateScenario(
+    const Scenario& scenario, Duration mission) {
+  return EvaluateScenarios({Request{&scenario, mission}}).front();
+}
+
+std::vector<FrontierEvaluator::ScenarioEval> FrontierEvaluator::EvaluateScenarios(
+    const std::vector<Request>& requests) {
+  std::vector<std::string> keys;
+  keys.reserve(requests.size());
+  for (const Request& request : requests) {
+    keys.push_back(MemoKey(*request.scenario, request.mission));
   }
 
-  ScenarioEval eval;
-  if (!options_.force_simulation && !CtmcIncompatibility(scenario)) {
+  // Pass 1: the requests to simulate, in request order, once per memo key,
+  // grouped by mission (a document has one mission).
+  std::set<std::string> fresh;  // simulated below, first use still ahead
+  std::map<double, std::vector<size_t>> by_mission;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    if (memo_.count(keys[i]) != 0 || fresh.count(keys[i]) != 0) {
+      continue;
+    }
+    if (options_.force_simulation || CtmcIncompatibility(*requests[i].scenario)) {
+      fresh.insert(keys[i]);
+      by_mission[requests[i].mission.hours()].push_back(i);
+    }
+  }
+
+  // Pass 2: each mission's requests, cut in order into waves.
+  for (const auto& [hours, members] : by_mission) {
+    for (size_t begin = 0; begin < members.size(); begin += kFrontierWaveCells) {
+      const size_t end = std::min(members.size(), begin + kFrontierWaveCells);
+      SimulateWave(requests, keys,
+                   std::vector<size_t>(members.begin() + begin, members.begin() + end));
+    }
+  }
+
+  // Pass 3: answer in request order. A simulated phase's first use reports
+  // its backend provenance; every later use is a memo hit.
+  std::vector<ScenarioEval> evals;
+  evals.reserve(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    if (auto it = memo_.find(keys[i]); it != memo_.end()) {
+      ScenarioEval eval = it->second;
+      if (fresh.erase(keys[i]) == 0) {
+        ++stats_.memo_hits;
+        if (obs::Enabled()) {
+          static obs::Counter& memo_saved =
+              obs::Registry::Global().counter("frontier.evals_memo_saved");
+          memo_saved.Add();
+        }
+        eval.source = "memo";
+      }
+      evals.push_back(std::move(eval));
+      continue;
+    }
     // Exact pre-screen: nullopt (loss unreachable) means probability 0.
-    eval.probability = ScenarioCtmcLossProbability(scenario, mission).value_or(0.0);
+    ScenarioEval eval;
+    eval.probability =
+        ScenarioCtmcLossProbability(*requests[i].scenario, requests[i].mission)
+            .value_or(0.0);
     eval.ci_lo = eval.probability;
     eval.ci_hi = eval.probability;
     eval.exact = true;
@@ -172,36 +223,68 @@ FrontierEvaluator::ScenarioEval FrontierEvaluator::EvaluateScenario(
           obs::Registry::Global().counter("frontier.ctmc_screened");
       screened.Add();
     }
-  } else {
-    // A single-cell importance-sampled sweep, packaged exactly like a
-    // sharded or service request: content-derived seeds, thread count never
-    // serialized, canonical checksummed bytes. Every backend therefore
-    // produces the same result bytes for this document.
-    SweepSpec spec;
-    std::string label;
-    json::AppendUint64Hex(label, scenario.CanonicalHash());
-    spec.AddCell(std::move(label), scenario);
-    SweepOptions sweep_options;
-    sweep_options.estimand = SweepOptions::Estimand::kWeightedLossProbability;
-    sweep_options.mission = mission;
-    sweep_options.bias = options_.bias;
-    sweep_options.seed_mode = SweepOptions::SeedMode::kScenarioDerived;
-    sweep_options.mc.trials = options_.trials;
-    sweep_options.mc.seed = options_.seed;
-    sweep_options.mc.confidence = options_.confidence;
-    const ShardPlan plan(spec, sweep_options, 1);
-    const FrontierEvalBackend::Eval answer =
-        backend_->Evaluate(plan.shards()[0].ToJson());
+    memo_.emplace(keys[i], eval);
+    evals.push_back(std::move(eval));
+  }
+  return evals;
+}
 
-    const json::Value result =
-        json::Parse(answer.result_json, "frontier result");
-    if (result.kind != json::Value::Kind::kArray || result.array.size() != 1) {
-      json::Fail("frontier result", "expected exactly one result cell");
+void FrontierEvaluator::SimulateWave(const std::vector<Request>& requests,
+                                     const std::vector<std::string>& keys,
+                                     const std::vector<size_t>& wave) {
+  // One importance-sampled sweep cell per scenario, labelled with its
+  // content hash and packaged exactly like a sharded or service request:
+  // content-derived seeds, thread count never serialized, canonical
+  // checksummed bytes. Every backend therefore produces the same result
+  // bytes for this document, and each cell's bytes are those of its
+  // scenario's single-cell document.
+  SweepSpec spec;
+  std::vector<std::string> labels;
+  for (size_t i : wave) {
+    std::string label;
+    json::AppendUint64Hex(label, requests[i].scenario->CanonicalHash());
+    labels.push_back(label);
+    spec.AddCell(std::move(label), *requests[i].scenario);
+  }
+  SweepOptions sweep_options;
+  sweep_options.estimand = SweepOptions::Estimand::kWeightedLossProbability;
+  sweep_options.mission = requests[wave.front()].mission;
+  sweep_options.bias = options_.bias;
+  sweep_options.seed_mode = SweepOptions::SeedMode::kScenarioDerived;
+  sweep_options.mc.trials = options_.trials;
+  sweep_options.mc.seed = options_.seed;
+  sweep_options.mc.confidence = options_.confidence;
+  const ShardPlan plan(spec, sweep_options, 1);
+  const FrontierEvalBackend::Eval answer =
+      backend_->Evaluate(plan.shards()[0].ToJson());
+
+  const json::Value result = json::Parse(answer.result_json, "frontier result");
+  if (result.kind != json::Value::Kind::kArray ||
+      result.array.size() != wave.size()) {
+    json::Fail("frontier result", "expected one result cell per wave cell");
+  }
+  ++stats_.backend_documents;
+  stats_.simulated_trials += answer.new_trials;
+  const bool served_from_cache =
+      answer.source == "cache" || answer.source == "resumed";
+  if (obs::Enabled()) {
+    static obs::Counter& documents =
+        obs::Registry::Global().counter("frontier.backend_documents");
+    static obs::Histogram& wave_cells =
+        obs::Registry::Global().histogram("frontier.wave_cells");
+    documents.Add();
+    wave_cells.Record(static_cast<int64_t>(wave.size()));
+  }
+  for (size_t c = 0; c < wave.size(); ++c) {
+    json::ObjectReader cell(result.array[c], "cell", "frontier result");
+    if (cell.GetString("label") != labels[c]) {
+      json::Fail("frontier result", "result cell " + std::to_string(c) +
+                                        " is not wave cell " + labels[c]);
     }
-    json::ObjectReader cell(result.array[0], "cell", "frontier result");
     // The estimate doubles come out of the canonical result bytes; parsing
     // and re-emitting them is round-trip exact, so frontier JSON assembled
     // from any backend's answer is byte-identical.
+    ScenarioEval eval;
     eval.probability = cell.GetNumber("probability");
     eval.ci_lo = cell.GetNumber("ci_lo");
     eval.ci_hi = cell.GetNumber("ci_hi");
@@ -209,9 +292,6 @@ FrontierEvaluator::ScenarioEval FrontierEvaluator::EvaluateScenario(
     eval.exact = false;
     eval.source = answer.source;
     ++stats_.simulated_evals;
-    stats_.simulated_trials += answer.new_trials;
-    const bool served_from_cache =
-        answer.source == "cache" || answer.source == "resumed";
     if (served_from_cache) {
       ++stats_.cache_served;
     }
@@ -228,9 +308,8 @@ FrontierEvaluator::ScenarioEval FrontierEvaluator::EvaluateScenario(
       }
       trials.Record(eval.trials);
     }
+    memo_.emplace(keys[wave[c]], std::move(eval));
   }
-  memo_.emplace(std::move(key), eval);
-  return eval;
 }
 
 namespace {
@@ -441,10 +520,24 @@ FrontierResult RunFrontierSearch(const FrontierTarget& target,
     budget_counter.Add(over_budget);
   }
 
+  // std::map iteration = ascending id: the evaluation visit order is fixed
+  // by candidate *content*, never by enumeration order. One batch for the
+  // whole search, so its simulated phases travel in waves.
+  std::vector<FrontierEvaluator::Request> requests;
+  for (const auto& [id, built] : unique) {
+    for (size_t i = 0; i < built.candidate.phases.size(); ++i) {
+      requests.push_back(
+          {&built.phase_scenarios[i], Duration::Years(built.candidate.phases[i].years)});
+    }
+  }
+  const int64_t documents_before = evaluator.stats().backend_documents;
+  const std::vector<FrontierEvaluator::ScenarioEval> evals =
+      evaluator.EvaluateScenarios(requests);
+  const int64_t documents = evaluator.stats().backend_documents - documents_before;
+
   FrontierResult result;
   result.target = target;
-  // std::map iteration = ascending id: the evaluation visit order is fixed
-  // by candidate *content*, never by enumeration order.
+  size_t next_eval = 0;
   for (auto& [id, built] : unique) {
     FrontierPoint point;
     point.id = id;
@@ -457,9 +550,7 @@ FrontierResult RunFrontierSearch(const FrontierTarget& target,
     size_t exact_phases = 0;
     std::vector<std::string> sources;
     for (size_t i = 0; i < built.candidate.phases.size(); ++i) {
-      const FrontierEvaluator::ScenarioEval eval = evaluator.EvaluateScenario(
-          built.phase_scenarios[i],
-          Duration::Years(built.candidate.phases[i].years));
+      const FrontierEvaluator::ScenarioEval& eval = evals[next_eval++];
       log_survival += std::log1p(-eval.probability);
       log_survival_lo += std::log1p(-eval.ci_lo);
       log_survival_hi += std::log1p(-eval.ci_hi);
@@ -524,7 +615,8 @@ FrontierResult RunFrontierSearch(const FrontierTarget& target,
                       .Int("duplicates", duplicates)
                       .Int("over_budget", over_budget)
                       .Int("points", static_cast<int64_t>(result.points.size()))
-                      .Int("kept", kept));
+                      .Int("kept", kept)
+                      .Int("documents", documents));
   }
   if (obs::Enabled()) {
     static obs::Counter& searches =

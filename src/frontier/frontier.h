@@ -13,16 +13,19 @@
 //   candidate enumeration order, and evaluation backends (in-process pool,
 //   in-process service, resident sweep_serviced over its socket).
 // The contract holds because (a) candidates are identified by content hash
-// and visited in hash order, (b) each candidate's sweep document never
-// contains the thread count, (c) every backend runs the identical
-// execute/finalize path and the frontier copies the estimate doubles out of
-// those canonical result bytes, and (d) provenance ("cache" vs "computed")
-// is reported through metrics and the trace journal, never through the
-// frontier JSON. See src/frontier/README.md.
+// and visited in hash order, (b) a sweep document never contains the thread
+// count, and each of its cells is seeded from its own scenario's content
+// hash, so which wave a phase travels in cannot move its estimate, (c)
+// every backend runs the identical execute/finalize path and the frontier
+// copies the estimate doubles out of those canonical result bytes, and (d)
+// provenance ("cache" vs "computed") is reported through metrics and the
+// trace journal, never through the frontier JSON. See
+// src/frontier/README.md.
 
 #ifndef LONGSTORE_SRC_FRONTIER_FRONTIER_H_
 #define LONGSTORE_SRC_FRONTIER_FRONTIER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -150,13 +153,27 @@ struct FrontierOptions {
   obs::TraceJournal* journal = nullptr;
 };
 
+// The most phase scenarios one wave document carries. A document's JSON DOM
+// costs ~10.5 KiB per cell while the backend parses it, so an uncapped wave
+// (44 cells for golden-small) raises peak memory by a quarter; eight cells
+// already keep a 4-lane pool busy. Wave membership never moves a result
+// byte (src/frontier/README.md), so this is a cost constant, not an option.
+inline constexpr size_t kFrontierWaveCells = 8;
+
 // Scores scenarios for the frontier search, cheapest path first: an exact
-// CTMC answer when the scenario is compatible, otherwise a single-cell
-// importance-sampled sweep through the configured backend. Results are
-// memoized by (scenario content hash, mission), so a search that revisits a
-// scenario — and any later search through the same evaluator — pays nothing.
+// CTMC answer when the scenario is compatible, otherwise an importance-
+// sampled sweep through the configured backend, many scenarios per sweep
+// document. Results are memoized by (scenario content hash, mission), so a
+// search that revisits a scenario — and any later search through the same
+// evaluator — pays nothing.
 class FrontierEvaluator {
  public:
+  // One phase to score. `scenario` must outlive the call.
+  struct Request {
+    const Scenario* scenario = nullptr;
+    Duration mission;
+  };
+
   struct ScenarioEval {
     double probability = 0.0;
     double ci_lo = 0.0;
@@ -174,20 +191,35 @@ class FrontierEvaluator {
     int64_t simulated_evals = 0;
     int64_t simulated_trials = 0;  // new trials paid to the backend
     int64_t memo_hits = 0;
-    int64_t cache_served = 0;  // backend answered "cache" / "resumed"
+    int64_t cache_served = 0;  // cells the backend answered from its cache
+    int64_t backend_documents = 0;  // wave documents sent to the backend
   };
 
   // `backend` must outlive the evaluator.
   FrontierEvaluator(FrontierOptions options, FrontierEvalBackend* backend);
 
-  // Loss probability of `scenario` over `mission`, with its CI.
+  // Loss probability of `scenario` over `mission`, with its CI: a batch of
+  // one request.
   ScenarioEval EvaluateScenario(const Scenario& scenario, Duration mission);
+
+  // Scores `requests` with exactly the evaluations, sources and stats of one
+  // EvaluateScenario call per request in order, but simulates up front: every
+  // request that is neither memoized nor CTMC-scorable, once per memo key,
+  // grouped by mission into wave documents of at most kFrontierWaveCells
+  // cells, one backend Evaluate call per document.
+  std::vector<ScenarioEval> EvaluateScenarios(const std::vector<Request>& requests);
 
   const Stats& stats() const { return stats_; }
   const FrontierOptions& options() const { return options_; }
   size_t memo_size() const { return memo_.size(); }
 
  private:
+  // Sends the requests at `wave` (indices into `requests`, one mission) as
+  // one document and memoizes each result cell under its key.
+  void SimulateWave(const std::vector<Request>& requests,
+                    const std::vector<std::string>& keys,
+                    const std::vector<size_t>& wave);
+
   FrontierOptions options_;
   FrontierEvalBackend* backend_;
   std::map<std::string, ScenarioEval> memo_;
@@ -227,8 +259,9 @@ struct FrontierResult {
 };
 
 // Enumerates the space, dedups candidates by content hash, discards
-// over-budget candidates, scores the rest through `evaluator` in hash order,
-// and marks the Pareto frontier. Reusing one evaluator across calls makes
+// over-budget candidates, scores the rest through `evaluator` in hash order
+// (one EvaluateScenarios batch, so simulated phases travel in waves), and
+// marks the Pareto frontier. Reusing one evaluator across calls makes
 // repeated searches hit its memo (and, with a service backend, the
 // daemon's result cache).
 FrontierResult RunFrontierSearch(const FrontierTarget& target,

@@ -9,10 +9,13 @@
 // aggregate is bit-identical for any parallelism, which is the determinism
 // contract SweepRunner and the Monte Carlo estimators advertise.
 //
-// Each lane lazily constructs one TrialRunner per job (simulator + system +
-// rng, reused across all of that job's blocks the lane executes), preserving
-// the reuse economics of the allocation-free engine: per-trial cost is a
-// Reset, not a reconstruction.
+// Each lane holds one TrialRunner (simulator + system + rng) at a time,
+// built for the job of the lane's current block and reused across all of
+// that job's blocks the lane executes, preserving the reuse economics of the
+// allocation-free engine: per-trial cost is a Reset, not a reconstruction.
+// Blocks are handed out job-major, so a lane never returns to a job it has
+// left and rebuilds its runner only on moving forward: memory is bounded by
+// lanes, not lanes x jobs.
 
 #ifndef LONGSTORE_SRC_SWEEP_BATCH_EXEC_H_
 #define LONGSTORE_SRC_SWEEP_BATCH_EXEC_H_
@@ -96,7 +99,8 @@ void RunTrialBlockSpans(WorkerPool& pool, int lanes,
   lanes = std::max(1, std::min<int>(lanes, static_cast<int>(units.size())));
   std::atomic<size_t> next{0};
   pool.RunLanes(lanes, [&](int) {
-    std::vector<std::unique_ptr<TrialRunner>> runners(jobs.size());
+    std::unique_ptr<TrialRunner> runner;
+    size_t runner_job = jobs.size();
     while (true) {
       const size_t u = next.fetch_add(1, std::memory_order_relaxed);
       if (u >= units.size()) {
@@ -104,8 +108,9 @@ void RunTrialBlockSpans(WorkerPool& pool, int lanes,
       }
       const Unit& unit = units[u];
       TrialBatchJob<Accumulator>& job = jobs[unit.job];
-      std::unique_ptr<TrialRunner>& runner = runners[unit.job];
-      if (!runner) {
+      if (unit.job != runner_job) {
+        runner.reset();  // free the old job's engine before building the next
+        runner_job = unit.job;
         // An identity bias draws exactly the unbiased path's uniforms with
         // every weight exactly 1 (src/rare/biased_sampler.h), so it runs the
         // sampler-free runner, which the eventless-trial prefilter accepts.

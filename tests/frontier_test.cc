@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "src/frontier/eval_backend.h"
 #include "src/scenario/media.h"
 #include "src/scenario/scenario_ctmc.h"
 #include "src/service/sweep_service.h"
+#include "src/shard/shard.h"
 #include "src/sweep/worker_pool.h"
 #include "src/util/json.h"
 
@@ -46,6 +48,25 @@ FrontierOptions FastOptions() {
   options.seed = 7;
   return options;
 }
+
+// Forwards to `inner` and records every document and its result bytes.
+class RecordingBackend : public FrontierEvalBackend {
+ public:
+  explicit RecordingBackend(FrontierEvalBackend* inner) : inner_(inner) {}
+
+  Eval Evaluate(const std::string& sweep_document) override {
+    Eval eval = inner_->Evaluate(sweep_document);
+    documents.push_back(ShardSpec::FromJson(sweep_document, "recorded document"));
+    results.push_back(eval.result_json);
+    return eval;
+  }
+
+  std::vector<ShardSpec> documents;
+  std::vector<std::string> results;
+
+ private:
+  FrontierEvalBackend* inner_;
+};
 
 std::string SearchJson(const FrontierTarget& target, const FrontierSpace& space,
                        const FrontierOptions& options,
@@ -253,6 +274,163 @@ TEST(FrontierTest, EvaluatorMemoServesRepeats) {
   const auto other = evaluator.EvaluateScenario(scenario, Duration::Years(20));
   EXPECT_EQ(other.source, "computed");
   EXPECT_EQ(evaluator.stats().memo_hits, 1);
+
+  // Within one batch, a repeated request is simulated once; its second use
+  // is a memo hit.
+  FrontierEvaluator batch(FastOptions(), &backend);
+  const std::vector<FrontierEvaluator::ScenarioEval> evals =
+      batch.EvaluateScenarios(
+          {{&scenario, Duration::Years(50)}, {&scenario, Duration::Years(50)}});
+  EXPECT_EQ(evals[0].source, "computed");
+  EXPECT_EQ(evals[1].source, "memo");
+  EXPECT_EQ(evals[1].probability, first.probability);
+  EXPECT_EQ(batch.stats().simulated_evals, 1);
+  EXPECT_EQ(batch.stats().memo_hits, 1);
+  EXPECT_EQ(batch.stats().backend_documents, 1);
+}
+
+// Mixed fleets (outside the CTMC) and a homogeneous one, as PhaseScenario
+// builds them for a search.
+std::vector<Scenario> WaveScenarios() {
+  const FrontierSpace space = GoldenSmallSpace();
+  const DriveSpec disk = SeagateBarracuda200Gb();
+  const DriveSpec fast = SeagateCheetah146Gb();
+  const DriveSpec tape = Lto3TapeCartridge();
+  std::vector<Scenario> scenarios;
+  for (std::vector<DriveSpec> drives :
+       {std::vector<DriveSpec>{disk, fast}, std::vector<DriveSpec>{disk, tape},
+        std::vector<DriveSpec>{fast, tape, tape},
+        std::vector<DriveSpec>{disk, disk, fast, tape},
+        std::vector<DriveSpec>{tape, tape}}) {
+    FrontierPhase phase;
+    phase.years = 50.0;
+    phase.drives = std::move(drives);
+    phase.audits_per_year = 12.0;
+    scenarios.push_back(
+        PhaseScenario(phase, DeploymentStyle::kFullyDiverse, space));
+  }
+  return scenarios;
+}
+
+// A wave cell's estimate is a function of its own scenario only: each cell of
+// one multi-cell document has the bytes of that scenario's single-cell
+// document, on every backend.
+void ExpectWaveCellsMatchSingleCellDocuments(FrontierEvalBackend* backend) {
+  const std::vector<Scenario> scenarios = WaveScenarios();
+  FrontierOptions options = FastOptions();
+  options.force_simulation = true;
+
+  RecordingBackend wave_backend(backend);
+  FrontierEvaluator wave(options, &wave_backend);
+  std::vector<FrontierEvaluator::Request> requests;
+  for (const Scenario& scenario : scenarios) {
+    requests.push_back({&scenario, Duration::Years(50)});
+  }
+  const std::vector<FrontierEvaluator::ScenarioEval> wave_evals =
+      wave.EvaluateScenarios(requests);
+  ASSERT_EQ(wave_backend.documents.size(), 1u);
+  ASSERT_EQ(wave_backend.documents[0].cells.size(), scenarios.size());
+
+  RecordingBackend single_backend(backend);
+  FrontierEvaluator single(options, &single_backend);
+  std::string joined = "[";
+  for (size_t i = 0; i < scenarios.size(); ++i) {
+    const FrontierEvaluator::ScenarioEval eval =
+        single.EvaluateScenario(scenarios[i], Duration::Years(50));
+    EXPECT_EQ(eval.probability, wave_evals[i].probability) << i;
+    EXPECT_EQ(eval.ci_lo, wave_evals[i].ci_lo) << i;
+    EXPECT_EQ(eval.ci_hi, wave_evals[i].ci_hi) << i;
+    EXPECT_EQ(eval.trials, wave_evals[i].trials) << i;
+    ASSERT_EQ(single_backend.documents.size(), i + 1);
+    EXPECT_EQ(single_backend.documents[i].cells.size(), 1u);
+    // A single-cell result is "[cell]"; the wave result is its cells joined.
+    const std::string& cell = single_backend.results[i];
+    joined += (i > 0 ? "," : "") + cell.substr(1, cell.size() - 2);
+  }
+  joined += "]";
+  EXPECT_EQ(wave_backend.results[0], joined);
+}
+
+TEST(FrontierTest, WaveCellsMatchSingleCellDocumentsOnThePool) {
+  WorkerPool pool(4);
+  PoolEvalBackend backend(&pool);
+  ExpectWaveCellsMatchSingleCellDocuments(&backend);
+}
+
+TEST(FrontierTest, WaveCellsMatchSingleCellDocumentsOnTheService) {
+  SweepService service{ServiceOptions{}};
+  ServiceEvalBackend backend(service);
+  ExpectWaveCellsMatchSingleCellDocuments(&backend);
+}
+
+TEST(FrontierTest, GoldenSmallSimulatesInSixWaveDocuments) {
+  PoolEvalBackend pool_backend;
+  RecordingBackend backend(&pool_backend);
+  FrontierEvaluator evaluator(GoldenSmallOptions(), &backend);
+  const FrontierResult result =
+      RunFrontierSearch(GoldenSmallTarget(), GoldenSmallSpace(), evaluator);
+  EXPECT_EQ(result.points.size(), 62u);
+  // 44 simulated phases in waves of at most 8: ceil(44 / 8) = 6 documents.
+  ASSERT_EQ(backend.documents.size(), 6u);
+  size_t cells = 0;
+  for (const ShardSpec& document : backend.documents) {
+    EXPECT_LE(document.cells.size(), kFrontierWaveCells);
+    cells += document.cells.size();
+  }
+  EXPECT_EQ(cells, 44u);
+  const FrontierEvaluator::Stats& stats = evaluator.stats();
+  EXPECT_EQ(stats.ctmc_evals, 18);
+  EXPECT_EQ(stats.simulated_evals, 44);
+  EXPECT_EQ(stats.memo_hits, 0);
+  EXPECT_EQ(stats.backend_documents, 6);
+  EXPECT_EQ(stats.simulated_trials, 44 * GoldenSmallOptions().trials);
+}
+
+TEST(FrontierTest, WavesGroupPhasesByMission) {
+  // Force-simulated migration schedules: 4 steady fleets (50 y) plus 4 first
+  // phases (10 y) and 4 second phases (40 y) — three missions, one document
+  // each.
+  FrontierSpace space = FastSpace();
+  space.mixed_media = false;
+  space.migration_years = {10.0};
+  FrontierOptions options = FastOptions();
+  options.force_simulation = true;
+  PoolEvalBackend pool_backend;
+  RecordingBackend backend(&pool_backend);
+  FrontierEvaluator evaluator(options, &backend);
+  (void)RunFrontierSearch(FastTarget(), space, evaluator);
+
+  std::set<double> missions;
+  size_t cells = 0;
+  for (const ShardSpec& document : backend.documents) {
+    missions.insert(document.options.mission.years());
+    cells += document.cells.size();
+  }
+  EXPECT_EQ(backend.documents.size(), 3u);
+  EXPECT_EQ(missions, (std::set<double>{10.0, 40.0, 50.0}));
+  EXPECT_EQ(cells, 12u);
+  EXPECT_EQ(evaluator.stats().simulated_evals, 12);
+  // Every schedule reuses a steady fleet's scenario under another mission,
+  // so nothing is a memo hit and nothing is simulated twice.
+  EXPECT_EQ(evaluator.stats().memo_hits, 0);
+}
+
+TEST(FrontierTest, ServiceReSearchServesEveryWaveCellFromCache) {
+  SweepService service{ServiceOptions{}};
+  ServiceEvalBackend backend(service);
+  FrontierEvaluator cold(GoldenSmallOptions(), &backend);
+  const std::string cold_json =
+      RunFrontierSearch(GoldenSmallTarget(), GoldenSmallSpace(), cold).ToJson();
+  EXPECT_EQ(service.cache_size(), 6u);
+
+  FrontierEvaluator warm(GoldenSmallOptions(), &backend);
+  const std::string warm_json =
+      RunFrontierSearch(GoldenSmallTarget(), GoldenSmallSpace(), warm).ToJson();
+  EXPECT_EQ(warm_json, cold_json);
+  EXPECT_EQ(warm.stats().simulated_evals, 44);
+  EXPECT_EQ(warm.stats().cache_served, warm.stats().simulated_evals);
+  EXPECT_EQ(warm.stats().simulated_trials, 0);
+  EXPECT_EQ(warm.stats().backend_documents, 6);
 }
 
 TEST(FrontierTest, ResultJsonParsesAndMirrorsThePoints) {

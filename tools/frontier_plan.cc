@@ -231,11 +231,13 @@ int Run(int argc, char** argv) {
   const FrontierEvaluator::Stats& stats = evaluator.stats();
   std::fprintf(stderr,
                "[frontier] %zu points: %lld exact, %lld simulated "
-               "(%lld new trials), %lld memo hits, %lld served from cache\n",
+               "(%lld new trials in %lld sweep documents), %lld memo hits, "
+               "%lld served from cache\n",
                result.points.size(),
                static_cast<long long>(stats.ctmc_evals),
                static_cast<long long>(stats.simulated_evals),
                static_cast<long long>(stats.simulated_trials),
+               static_cast<long long>(stats.backend_documents),
                static_cast<long long>(stats.memo_hits),
                static_cast<long long>(stats.cache_served));
 

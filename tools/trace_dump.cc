@@ -252,10 +252,11 @@ int Main(int argc, char** argv) {
     if (name == "frontier_search") {
       frontier_summary.push_back(render(
           "search: %" PRId64 " generated (%" PRId64 " duplicate, %" PRId64
-          " over budget) -> %" PRId64 " points, %" PRId64 " on the frontier",
+          " over budget) -> %" PRId64 " points, %" PRId64
+          " on the frontier; %" PRId64 " sweep documents",
           IntField(event, "generated", 0), IntField(event, "duplicates", 0),
           IntField(event, "over_budget", 0), IntField(event, "points", 0),
-          IntField(event, "kept", 0)));
+          IntField(event, "kept", 0), IntField(event, "documents", 0)));
       continue;
     }
     // fleet_plan / fleet_done / fleet_partial and any future event: the msg
