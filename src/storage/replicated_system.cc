@@ -281,9 +281,13 @@ InitialDrawThreshold ComputeInitialDrawThreshold(
 }
 
 void ReplicatedStorageSystem::BuildInitialDrawPlan() {
-  // Mirrors Start()'s draw sequence exactly; see the scheduling helpers for
-  // the arithmetic being replicated. Any change to the initial scheduling
-  // order must be reflected here (the prefilter tests cross-check).
+  // Lists the random draws Start() makes, one site per draw in the order
+  // Start() consumes them: each replica's visible then latent fault clock
+  // (skipping infinite means), or the two system clocks under kPaper, then
+  // one clock per common-mode source. The first scrub tick comes from the
+  // same ScrubTickAfter() that schedules it. A change to Start()'s draw order
+  // must be made here too; PrefilterTest.DerivedKernelMatchesPerTrialRunFold
+  // (tests/prefilter_test.cc) fails if the two disagree.
   initial_draw_sites_.clear();
   const auto add_exponential = [&](Duration mean) {
     if (mean.is_infinite()) {
@@ -334,16 +338,7 @@ void ReplicatedStorageSystem::BuildInitialDrawPlan() {
   if (convention_ != RateConvention::kPaper && record_scrub_passes_) {
     for (int i = 0; i < replica_count_; ++i) {
       const ResolvedReplica& rp = resolved_[static_cast<size_t>(i)];
-      // First scrub tick from time zero: NextScrubTick's arithmetic with
-      // now = 0.
-      const Duration period = rp.scrub.interval;
-      const double periods_elapsed =
-          std::floor((Duration::Zero() - rp.scrub_phase).hours() / period.hours()) +
-          1.0;
-      Duration tick = rp.scrub_phase + period * periods_elapsed;
-      if (tick <= Duration::Zero()) {
-        tick += period;
-      }
+      const Duration tick = ScrubTickAfter(rp, Duration::Zero());
       if (tick < initial_deterministic_event_) {
         initial_deterministic_event_ = tick;
       }
@@ -447,10 +442,9 @@ Duration ReplicatedStorageSystem::DrawRepairDuration(int i, FaultKind kind) cons
   return rng_->NextExponential(mean);
 }
 
-Duration ReplicatedStorageSystem::NextScrubTick(int i) const {
-  const ResolvedReplica& rp = resolved_[static_cast<size_t>(i)];
+Duration ReplicatedStorageSystem::ScrubTickAfter(const ResolvedReplica& rp,
+                                                Duration now) {
   const Duration period = rp.scrub.interval;
-  const Duration now = sim_->now();
   const double periods_elapsed =
       std::floor((now - rp.scrub_phase).hours() / period.hours()) + 1.0;
   Duration tick = rp.scrub_phase + period * periods_elapsed;
@@ -549,7 +543,7 @@ void ReplicatedStorageSystem::ScheduleDetection(int i) {
       if (record_scrub_passes_) {
         return;  // the scrub-tick loop performs detection
       }
-      const Duration tick = NextScrubTick(i);
+      const Duration tick = ScrubTickAfter(rp, sim_->now());
       replica.detect_event = sim_->ScheduleAt(tick, kEvDetect, i);
       return;
     }
@@ -563,8 +557,8 @@ void ReplicatedStorageSystem::ScheduleDetection(int i) {
 }
 
 void ReplicatedStorageSystem::ScheduleScrubTick(int i) {
-  const Duration tick = NextScrubTick(i);
-  sim_->ScheduleAt(tick, kEvScrubTick, i);
+  const ResolvedReplica& rp = resolved_[static_cast<size_t>(i)];
+  sim_->ScheduleAt(ScrubTickAfter(rp, sim_->now()), kEvScrubTick, i);
 }
 
 void ReplicatedStorageSystem::ScheduleCommonModeSource(size_t source_index) {

@@ -204,7 +204,8 @@ class ReplicatedStorageSystem : public SimClient {
   double CorrelationMultiplier() const;
   Duration DrawFaultDelay(int i, FaultKind kind) const;
   Duration DrawRepairDuration(int i, FaultKind kind) const;
-  Duration NextScrubTick(int i) const;
+  // First periodic scrub tick of `rp` strictly after `now`.
+  static Duration ScrubTickAfter(const ResolvedReplica& rp, Duration now);
   void ScheduleReplicaFaults(int i);
   void RescheduleFaultsForCorrelationChange();
   void ScheduleSystemFaultClocks();  // kPaper convention

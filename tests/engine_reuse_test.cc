@@ -2,6 +2,7 @@
 // handles, lazy cancellation) and the trial-reuse contract (Simulator::Reset,
 // ReplicatedStorageSystem::Reset, TrialRunner).
 
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -107,10 +108,9 @@ TEST(EventSlotTest, TieBreakSurvivesCancellationAndSlotReuse) {
   EXPECT_EQ(order, expected);
 }
 
-TEST(EventSlotTest, BucketedModeKeepsOrderUnderInterleavedScheduling) {
-  // Push the engine well past its spill threshold so the ladder machinery
-  // (bucket partition, refills, overflow re-partition) engages, then keep
-  // scheduling from inside callbacks while it drains.
+TEST(EventSlotTest, LargeHeapKeepsOrderUnderInterleavedScheduling) {
+  // Thousands of pending events, and callbacks keep scheduling while the
+  // heap drains: pushes interleave with pops at every depth of the heap.
   CallbackClient client;
   Simulator sim(&client);
   uint64_t state = 12345;
@@ -125,8 +125,8 @@ TEST(EventSlotTest, BucketedModeKeepsOrderUnderInterleavedScheduling) {
     last = sim.now();
     ++fired;
     if (fired % 3 == 0) {
-      // Re-schedule into the near future: sometimes the current window,
-      // sometimes a later bucket, sometimes beyond the bucketed range.
+      // Re-schedule anywhere from just ahead of the clock to far past the
+      // last initial event.
       const double ahead =
           static_cast<double>(SplitMix64NextForTest(state) % 1000000) / 10.0;
       sim.ScheduleAfter(Duration::Hours(ahead), chain);
@@ -142,6 +142,59 @@ TEST(EventSlotTest, BucketedModeKeepsOrderUnderInterleavedScheduling) {
   EXPECT_EQ(sim.processed_count(), static_cast<uint64_t>(fired));
   // Whatever is still pending lies beyond the horizon.
   EXPECT_DOUBLE_EQ(sim.now().hours(), 50000.0);
+}
+
+TEST(EventSlotTest, ExactFifoOrderAtScaleWithCancellationsAndReplay) {
+  // 6000 events over 200 distinct times (so ~30 share each time), and a
+  // seeded third cancelled before the run. The fired sequence must be the
+  // survivors stable-sorted by time (equal times in scheduling order), and a
+  // Reset() engine replaying the same schedule must fire the same sequence.
+  constexpr int kEvents = 6000;
+  uint64_t state = 2024;
+  std::vector<double> times;
+  std::vector<bool> cancelled;
+  for (int i = 0; i < kEvents; ++i) {
+    times.push_back(static_cast<double>(SplitMix64NextForTest(state) % 200) * 0.5);
+    cancelled.push_back(SplitMix64NextForTest(state) % 3 == 0);
+  }
+
+  CallbackClient client;
+  Simulator sim(&client);
+  std::vector<int> fired;
+  const uint16_t record = client.Add([&](int32_t a, int32_t) { fired.push_back(a); });
+  const auto schedule_and_run = [&] {
+    std::vector<EventId> ids;
+    for (int i = 0; i < kEvents; ++i) {
+      ids.push_back(sim.ScheduleAt(Duration::Hours(times[static_cast<size_t>(i)]), record, i));
+    }
+    for (int i = 0; i < kEvents; ++i) {
+      if (cancelled[static_cast<size_t>(i)]) {
+        EXPECT_TRUE(sim.Cancel(ids[static_cast<size_t>(i)]));
+      }
+    }
+    sim.Run();
+  };
+
+  std::vector<int> expected;
+  for (int i = 0; i < kEvents; ++i) {
+    if (!cancelled[static_cast<size_t>(i)]) {
+      expected.push_back(i);
+    }
+  }
+  std::stable_sort(expected.begin(), expected.end(), [&](int x, int y) {
+    return times[static_cast<size_t>(x)] < times[static_cast<size_t>(y)];
+  });
+  ASSERT_GT(expected.size(), static_cast<size_t>(kEvents / 2));
+  ASSERT_LT(expected.size(), static_cast<size_t>(kEvents));
+
+  schedule_and_run();
+  EXPECT_EQ(fired, expected);
+  const std::vector<int> first = fired;
+  fired.clear();
+  sim.Reset();
+  schedule_and_run();
+  EXPECT_EQ(fired, first);
+  EXPECT_EQ(sim.processed_count(), first.size());
 }
 
 // --- Reset() -------------------------------------------------------------
