@@ -504,6 +504,35 @@ SuperviseOutcome SuperviseUnits(
   return outcome;
 }
 
+// Deals trials [begin, end) of `cell` to `specs` as up to specs.size()
+// chunks whose interior seams land on absolute 256-trial block boundaries, so
+// the chunks' block lists, concatenated in trial order, are the range's
+// canonical block partition. Chunk j goes to spec (rotor + j) % specs.size():
+// one cell's chunks land on distinct specs (a result document carries at
+// most one fragment per cell), and rotating the start spreads the cells.
+// With `whole_if_one`, a range that fits in one chunk ships as the whole cell
+// (end = -1), on the spec ShardPlan's round-robin would give it.
+void DealTrialChunks(const SweepSpec::Cell& cell, int64_t begin, int64_t end,
+                     size_t rotor, bool whole_if_one,
+                     std::vector<ShardSpec>& specs) {
+  const int64_t b0 = begin / kTrialBlockSize;
+  const int64_t blocks = (end - 1) / kTrialBlockSize - b0 + 1;
+  const int64_t k = std::min<int64_t>(static_cast<int64_t>(specs.size()), blocks);
+  for (int64_t j = 0; j < k; ++j) {
+    ShardSpec& spec = specs[(rotor + static_cast<size_t>(j)) % specs.size()];
+    spec.cells.push_back(cell);
+    if (k == 1 && whole_if_one) {
+      spec.ranges.push_back(ShardCellRange{});
+      continue;
+    }
+    const int64_t lo_block = b0 + j * blocks / k;
+    const int64_t hi_block = b0 + (j + 1) * blocks / k;
+    spec.ranges.push_back(
+        ShardCellRange{std::max(begin, lo_block * kTrialBlockSize),
+                       std::min(end, hi_block * kTrialBlockSize)});
+  }
+}
+
 // "N of M cells lost after retries were exhausted:" plus the first few
 // cells' reasons — the shared failure summary for complete-required runs
 // and partial reports.
@@ -538,12 +567,27 @@ FleetReport FleetSupervisor::Run(std::vector<std::string> axis_names,
   ValidateFleetOptions(opt);
 
   // Plan exactly as the in-process driver would; validation errors
-  // propagate with SweepRunner::Run's own messages.
+  // propagate with SweepRunner::Run's own messages. A non-adaptive sweep
+  // splits every cell: each of the shard_count specs gets about 1/K of every
+  // cell's trials, so one expensive cell no longer pins a single worker while
+  // the rest idle. Adaptive sweeps keep whole cells (a cell's rounds are
+  // judged where its trials fold; RunAdaptive splits those instead).
+  const bool split_cells = !sweep_options.adaptive && opt.shard_count > 1;
   const ShardPlan plan(std::move(axis_names), sweep_options, std::move(cells),
-                       opt.shard_count);
+                       split_cells ? 1 : opt.shard_count);
   const size_t total_cells = plan.total_cells();
-  const uint64_t sweep_id =
-      plan.shards().empty() ? 0 : plan.shards().front().sweep_id;
+  const uint64_t sweep_id = plan.shards().front().sweep_id;
+  std::vector<ShardSpec> shards(plan.shards().begin(), plan.shards().end());
+  if (split_cells) {
+    ShardSpec base = std::move(shards.front());
+    std::vector<SweepSpec::Cell> planned = std::move(base.cells);
+    base.cells.clear();
+    shards.assign(static_cast<size_t>(opt.shard_count), base);
+    for (size_t i = 0; i < planned.size(); ++i) {
+      DealTrialChunks(planned[i], 0, sweep_options.mc.trials, i,
+                      /*whole_if_one=*/true, shards);
+    }
+  }
 
   ShardMerger merger;
   const auto consume = [&merger](ShardResult result, const std::string& source) {
@@ -553,7 +597,6 @@ FleetReport FleetSupervisor::Run(std::vector<std::string> axis_names,
       throw FleetError(std::string("fleet: merge failed: ") + e.what());
     }
   };
-  std::vector<ShardSpec> shards(plan.shards().begin(), plan.shards().end());
   SuperviseOutcome outcome =
       SuperviseUnits(opt, sweep_id, "", std::move(shards), consume);
   const FleetStats& stats = outcome.stats;
@@ -630,12 +673,6 @@ FleetReport FleetSupervisor::RunAdaptive(std::vector<std::string> axis_names,
     throw std::invalid_argument(
         "FleetSupervisor::RunAdaptive: options.adaptive must be set");
   }
-  if (sweep_options.seed_mode != SweepOptions::SeedMode::kCounterV1) {
-    throw std::invalid_argument(
-        "FleetSupervisor::RunAdaptive: splitting a cell's adaptive round "
-        "across workers requires SeedMode::kCounterV1 (only the counter "
-        "generator can start a trial stream at an arbitrary index)");
-  }
 
   // Plan with a single shard: validates cells and options exactly as Run
   // would, canonicalizes the cells (legacy view cleared), and yields the
@@ -691,49 +728,17 @@ FleetReport FleetSupervisor::RunAdaptive(std::vector<std::string> axis_names,
     }
     ++round;
 
-    // Partition each active cell's round range [done, target) into at most
-    // shard_count chunks. Interior seams land on absolute 256-trial block
-    // boundaries, so concatenating the chunks' block accumulators in trial
-    // order reproduces the round's canonical block list exactly.
-    struct Chunk {
-      size_t slot;
-      int64_t begin;
-      int64_t end;
-    };
-    std::vector<std::vector<Chunk>> per_spec(
-        static_cast<size_t>(opt.shard_count));
-    size_t rotor = 0;
-    for (const size_t i : active) {
-      const int64_t begin = states[i].trials_done;
-      const int64_t end = states[i].target;
-      const int64_t b0 = begin / kTrialBlockSize;
-      const int64_t blocks = (end - 1) / kTrialBlockSize - b0 + 1;
-      const int64_t k = std::min<int64_t>(opt.shard_count, blocks);
-      for (int64_t j = 0; j < k; ++j) {
-        const int64_t lo_block = b0 + j * blocks / k;
-        const int64_t hi_block = b0 + (j + 1) * blocks / k;
-        const int64_t lo = std::max(begin, lo_block * kTrialBlockSize);
-        const int64_t hi = std::min(end, hi_block * kTrialBlockSize);
-        // One cell's chunks go to k distinct specs (a result document may
-        // carry at most one fragment per cell), rotated across rounds and
-        // cells for balance.
-        per_spec[(rotor + static_cast<size_t>(j)) % per_spec.size()].push_back(
-            Chunk{i, lo, hi});
-      }
-      ++rotor;
+    // Each active cell's round range [done, target) goes out as up to
+    // shard_count trial-range chunks.
+    std::vector<ShardSpec> shards(static_cast<size_t>(opt.shard_count),
+                                  round_base);
+    for (size_t r = 0; r < active.size(); ++r) {
+      const AdaptiveCell& st = states[active[r]];
+      DealTrialChunks(st.cell, st.trials_done, st.target, r,
+                      /*whole_if_one=*/false, shards);
     }
-    std::vector<ShardSpec> shards;
-    for (const std::vector<Chunk>& chunk_list : per_spec) {
-      if (chunk_list.empty()) {
-        continue;
-      }
-      ShardSpec spec = round_base;
-      for (const Chunk& chunk : chunk_list) {
-        spec.cells.push_back(states[chunk.slot].cell);
-        spec.ranges.push_back(ShardCellRange{chunk.begin, chunk.end});
-      }
-      shards.push_back(std::move(spec));
-    }
+    std::erase_if(shards,
+                  [](const ShardSpec& spec) { return spec.cells.empty(); });
 
     // Harvest this round's fragments directly (no ShardMerger: rounds are
     // partial tilings whose begin need not be block-aligned).

@@ -7,6 +7,11 @@
 //
 // Supervision model (src/fleet/README.md has the full state machine):
 //
+//   * a non-adaptive sweep's cells are cut into up to shard_count
+//     block-aligned trial ranges each, chunk j of a cell going to shard
+//     (cell + j) % shard_count, so an expensive cell is shared by the fleet
+//     instead of pinning one worker; a cell that fits in one chunk ships
+//     whole, round-robin;
 //   * every unit (initially one planned shard) runs as its own subprocess;
 //     at most max_parallel run at once;
 //   * a unit fails when its process dies dirty, exceeds the wall-clock
@@ -16,8 +21,9 @@
 //     file named, and retried with exponential backoff plus deterministic
 //     jitter, up to max_retries retries per unit;
 //   * a multi-cell unit that exhausts its retries is split into single-cell
-//     units with fresh budgets, isolating a poison cell so the rest of the
-//     shard still completes (the "reassignment" of a dead worker's cells);
+//     units with fresh budgets (a ranged cell keeps its range), isolating a
+//     poison cell so the rest of the shard still completes (the
+//     "reassignment" of a dead worker's cells);
 //   * results merge through ShardMerger, so the final figure is
 //     byte-identical to the single-process run whenever every cell
 //     eventually succeeds — the PR 5 contract survives any amount of
@@ -162,7 +168,8 @@ class FleetSupervisor {
  public:
   explicit FleetSupervisor(FleetOptions options);
 
-  // Plans `spec` into options.shard_count shards and supervises them to
+  // Plans `spec` into options.shard_count shards (trial ranges of every
+  // multi-block cell unless the sweep is adaptive) and supervises them to
   // completion. Throws std::invalid_argument for invalid sweep
   // specs/options (same messages as SweepRunner::Run), FleetError for
   // fleet-level failure.
@@ -176,10 +183,8 @@ class FleetSupervisor {
                   const SweepOptions& sweep_options,
                   std::vector<SweepSpec::Cell> cells) const;
 
-  // Distributed adaptive execution. Requires options.adaptive and
-  // SeedMode::kCounterV1 (throws std::invalid_argument otherwise): only the
-  // counter generator can start a trial stream at an arbitrary index, which
-  // is what lets one cell's round be split mid-cell across workers.
+  // Distributed adaptive execution, in any seed mode. Requires
+  // options.adaptive (throws std::invalid_argument otherwise).
   //
   // Each adaptive round re-partitions every unconverged cell's next trial
   // range [done, target) into up to shard_count chunks whose interior seams

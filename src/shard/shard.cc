@@ -532,32 +532,14 @@ ShardResult RunShard(const ShardSpec& shard, WorkerPool* pool) {
   // run as raw per-block accumulators so the coordinator can reassemble a
   // byte-identical cell from any block-aligned tiling.
   std::vector<SweepSpec::Cell> whole;
-  std::vector<size_t> ranged;
+  std::vector<CellTrialRange> ranged;
   for (size_t i = 0; i < shard.cells.size(); ++i) {
-    if (shard.ranges[i].end < 0) {
-      whole.push_back(shard.cells[i]);
-    } else {
-      ranged.push_back(i);
-    }
-  }
-  if (!ranged.empty()) {
-    if (shard.options.seed_mode != SweepOptions::SeedMode::kCounterV1) {
-      throw std::invalid_argument(
-          "RunShard: partial trial ranges require seed_mode counter_v1 (any "
-          "other mode cannot reproduce a trial's stream from its index)");
-    }
-    if (shard.options.adaptive) {
-      throw std::invalid_argument(
-          "RunShard: partial trial ranges require non-adaptive execution; "
-          "adaptive continuation is coordinated by the driver");
-    }
-  }
-  if (!whole.empty()) {
-    result.cells = RunSweepCells(exec_pool, whole, shard.options);
-  }
-  for (const size_t i : ranged) {
     const SweepSpec::Cell& cell = shard.cells[i];
     const ShardCellRange& range = shard.ranges[i];
+    if (range.end < 0) {
+      whole.push_back(cell);
+      continue;
+    }
     if (range.end > shard.options.mc.trials) {
       throw std::invalid_argument(
           "RunShard: cell " + std::to_string(cell.index) + " trial range [" +
@@ -565,15 +547,29 @@ ShardResult RunShard(const ShardSpec& shard, WorkerPool* pool) {
           ") extends past mc.trials = " +
           std::to_string(shard.options.mc.trials));
     }
+    ranged.push_back(CellTrialRange{&cell, range.begin, range.end});
+  }
+  if (!ranged.empty() && shard.options.adaptive) {
+    throw std::invalid_argument(
+        "RunShard: partial trial ranges require non-adaptive execution; "
+        "adaptive continuation is coordinated by the driver");
+  }
+  if (!whole.empty()) {
+    result.cells = RunSweepCells(exec_pool, whole, shard.options);
+  }
+  // Every range of the shard runs in one pool pass.
+  std::vector<std::vector<TrialAccumulator>> blocks =
+      RunCellTrialRanges(exec_pool, ranged, shard.options);
+  for (size_t r = 0; r < ranged.size(); ++r) {
+    const SweepSpec::Cell& cell = *ranged[r].cell;
     ShardCellFragment fragment;
     fragment.index = cell.index;
     fragment.label = cell.label;
     fragment.coordinates = cell.coordinates;
-    fragment.trial_begin = range.begin;
-    fragment.trial_end = range.end;
+    fragment.trial_begin = ranged[r].begin_trial;
+    fragment.trial_end = ranged[r].end_trial;
     fragment.cell_trials = shard.options.mc.trials;
-    fragment.blocks = RunCellTrialRange(exec_pool, cell, shard.options,
-                                        range.begin, range.end);
+    fragment.blocks = std::move(blocks[r]);
     result.fragments.push_back(std::move(fragment));
   }
   return result;

@@ -8,15 +8,18 @@
 // number no matter how many machines computed it. The protocol therefore
 // trades no precision anywhere — scenarios travel as their canonical JSON
 // (identity-preserving by construction), seeds as exact hex strings, and
-// partial aggregates as raw Welford state — and the merge is cell-granular:
+// partial aggregates as raw Welford state — and the merge is block-granular:
 //
-//   * a shard owns whole cells (every trial of a cell runs in exactly one
-//     worker), so each cell's block fold happens in trial order inside one
-//     process, exactly as the single-process runner folds it;
+//   * a shard owns whole cells (every trial of the cell runs in one worker,
+//     folded in trial order exactly as the single-process runner folds it)
+//     or block-aligned trial ranges of cells, shipped as their per-block
+//     accumulators, which the merger folds in trial order into the same
+//     tree;
 //   * cell seeds derive from the spec seed plus the cell's label hash
 //     (kPerCellDerived), the spec seed alone (kSharedRoot), or the
-//     scenario's content hash (kScenarioDerived) — never from the cell's
-//     position, so partitioning cannot move any cell's trial streams;
+//     scenario's content hash (kScenarioDerived, kCounterV1) — never from
+//     the cell's position, and trial t's stream from (cell seed, t) alone,
+//     so partitioning cannot move any cell's or trial's streams;
 //   * the merger places finished cells by their grid index, so shard count
 //     and arrival order are invisible in the output.
 //
@@ -54,7 +57,7 @@ namespace longstore {
 // silently reinterpreting a foreign schema could change figures without
 // failing a single test. Version 2 added the checksum envelope and the
 // sweep_id; version 3 added optional trial-range cells (specs) and cell
-// fragments (results) for kCounterV1 sweeps. Only version 3 is accepted.
+// fragments (results). Only version 3 is accepted.
 inline constexpr int kShardProtocolVersion = 3;
 
 // Identity of the *whole* sweep a shard belongs to: FNV-1a over the sweep's
@@ -69,9 +72,9 @@ uint64_t ComputeSweepId(const std::vector<std::string>& axis_names,
 
 // Trial ownership of one shard cell: trials [begin, end) of the cell. The
 // sentinel end = -1 means the shard owns every trial (a whole cell, the
-// pre-version-3 behavior). Partial ranges require SeedMode::kCounterV1
-// (counter streams make trial t's draws independent of trials 0..t-1) and a
-// non-adaptive spec; RunShard enforces both.
+// pre-version-3 behavior). Any seed mode qualifies (trial t's draws never
+// depend on trials 0..t-1); partial ranges require a non-adaptive spec,
+// which RunShard enforces.
 struct ShardCellRange {
   int64_t begin = 0;
   int64_t end = -1;
@@ -116,9 +119,10 @@ struct ShardSpec {
                                     const std::string& source);
 };
 
-// Partitions a sweep into `shard_count` ShardSpecs, round-robin by cell
-// index so adjacent (typically similar-cost) grid cells land on different
-// shards. Validates options and every cell up front — a plan that builds is
+// Partitions a sweep into `shard_count` ShardSpecs of whole cells,
+// round-robin by cell index so adjacent (typically similar-cost) grid cells
+// land on different shards. (FleetSupervisor splits cells into trial ranges
+// on top of a 1-shard plan.) Validates options and every cell up front — a plan that builds is
 // safe to ship. A shard may end up empty when shard_count exceeds the cell
 // count; its worker returns an empty (but well-formed) result.
 class ShardPlan {
@@ -141,7 +145,7 @@ class ShardPlan {
   size_t total_cells_ = 0;
 };
 
-// A trial-range fragment of one cell (version 3, kCounterV1 only): trials
+// A trial-range fragment of one cell (version 3): trials
 // [trial_begin, trial_end) of a cell whose full run is `cell_trials` trials.
 // Instead of one folded accumulator it carries the per-block accumulators of
 // the canonical index-aligned partition (src/sweep/batch_exec.h), so the
@@ -188,8 +192,9 @@ struct ShardResult {
 };
 
 // Executes one shard on `pool` (nullptr = the process-wide pool) through the
-// same RunSweepCells path SweepRunner::Run uses, so the returned
-// accumulators are bit-identical to the same cells' accumulators in a
+// same RunSweepCells path SweepRunner::Run uses (its trial ranges, all in
+// one RunCellTrialRanges pool pass), so the returned accumulators are
+// bit-identical to the same cells' accumulators — or blocks — in a
 // single-process run by construction. Throws std::invalid_argument on
 // invalid options or cells, with the same messages SweepRunner::Run emits.
 ShardResult RunShard(const ShardSpec& shard, WorkerPool* pool = nullptr);

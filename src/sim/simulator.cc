@@ -19,14 +19,8 @@ void Simulator::HeapPush(const EventRecord& record) {
   heap_[hole] = record;
 }
 
-void Simulator::HeapPop() {
-  const EventRecord moved = heap_.back();
-  heap_.pop_back();
-  if (heap_.empty()) {
-    return;
-  }
+void Simulator::SiftDown(size_t hole, const EventRecord moved) {
   const size_t size = heap_.size();
-  size_t hole = 0;
   for (;;) {
     const size_t first_child = hole * 4 + 1;
     if (first_child >= size) {
@@ -46,6 +40,29 @@ void Simulator::HeapPop() {
     hole = best;
   }
   heap_[hole] = moved;
+}
+
+void Simulator::HeapPop() {
+  const EventRecord moved = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) {
+    SiftDown(0, moved);
+  }
+}
+
+void Simulator::CompactHeap() {
+  size_t kept = 0;
+  for (const EventRecord& record : heap_) {
+    const Slot& s = slots_[record.slot];
+    if (s.live && s.generation == record.generation) {
+      heap_[kept++] = record;
+    }
+  }
+  heap_.resize(kept);  // shrinking keeps the capacity: no allocation
+  // Floyd's heapify: sift every internal node down, deepest first.
+  for (size_t node = kept > 1 ? (kept - 2) / 4 + 1 : 0; node-- > 0;) {
+    SiftDown(node, heap_[node]);
+  }
 }
 
 EventId Simulator::ScheduleAt(Duration t, uint16_t tag, int32_t a, int32_t b) {
@@ -106,6 +123,15 @@ bool Simulator::Cancel(EventId id) {
     return false;  // already fired, already cancelled, or a stale handle
   }
   ReleaseSlot(slot);
+  // Cancelled records otherwise wait in the heap until they surface; a
+  // cancel-heavy trial (common-mode faults re-arming every replica) can
+  // pile up a hundred stale records per live one. Compacting once stale
+  // records are the majority keeps the heap within 2x the live events at
+  // amortized O(1) per cancel. Firing order cannot move: (time, seq) is a
+  // strict total order, so any valid heap pops the same sequence.
+  if (heap_.size() > kCompactFloor && heap_.size() > 2 * live_count_) {
+    CompactHeap();
+  }
   return true;
 }
 

@@ -7,7 +7,8 @@
 // The engine is allocation-free in steady state: events are plain records
 // stored inline in one 4-ary min-heap (no std::function, no per-event node),
 // ordered by (time, seq). Cancellation is lazy via generation-stamped slot
-// handles. See src/sim/README.md for the design and the
+// handles, with an in-place compaction once cancelled records outnumber live
+// ones. See src/sim/README.md for the design and the
 // Reset()/handle-invalidation contract.
 
 #ifndef LONGSTORE_SRC_SIM_SIMULATOR_H_
@@ -101,6 +102,10 @@ class Simulator {
   void Reset();
 
   size_t pending_count() const { return live_count_; }
+  // Heap records, live or cancelled-but-not-yet-discarded; Cancel keeps it
+  // within max(kCompactFloor, 2 x pending_count()) plus the records
+  // scheduled since the last compaction.
+  size_t queued_records() const { return heap_.size(); }
   uint64_t processed_count() const { return processed_; }
 
  private:
@@ -123,6 +128,9 @@ class Simulator {
     }
   };
   static constexpr uint32_t kFreeListEnd = ~uint32_t{0};
+  // Heaps this small are never compacted: scanning them costs more than
+  // the stale records do.
+  static constexpr size_t kCompactFloor = 64;
 
   struct Slot {
     uint32_t generation = 0;
@@ -141,6 +149,10 @@ class Simulator {
   // lines. Hole-based sifts move each record once instead of swapping.
   void HeapPush(const EventRecord& record);
   void HeapPop();
+  // Moves `moved` down from `hole` to its place in the heap.
+  void SiftDown(size_t hole, EventRecord moved);
+  // Drops every cancelled record in place and re-heapifies.
+  void CompactHeap();
 
   Duration now_ = Duration::Zero();
   uint64_t next_seq_ = 1;

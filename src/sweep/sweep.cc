@@ -43,7 +43,7 @@ struct CellState {
 };
 
 // The trial horizon for the configured estimand (the one place this mapping
-// lives; RunSweepCellsImpl and RunCellTrialRange must agree on it).
+// lives; RunSweepCellsImpl and RunCellTrialRanges must agree on it).
 Duration SweepHorizon(const SweepOptions& options) {
   switch (options.estimand) {
     case SweepOptions::Estimand::kMttdl:
@@ -53,6 +53,15 @@ Duration SweepHorizon(const SweepOptions& options) {
     default:
       return options.mission;
   }
+}
+
+// Trial t of a cell starts from (cell_seed, t) alone in every seed mode:
+// counter streams in kCounterV1, the xoshiro stream DeriveSeed(cell_seed, t)
+// in the rest.
+TrialStreams SweepTrialStreams(const SweepOptions& options) {
+  return options.seed_mode == SweepOptions::SeedMode::kCounterV1
+             ? TrialStreams::kCounter
+             : TrialStreams::kDerived;
 }
 
 // Folds one trial's outcome into the block accumulator under the configured
@@ -115,7 +124,7 @@ void AccumulateEventless(SweepOptions::Estimand estimand, Duration horizon,
 }
 
 // Execution parameters of one cell's trial spans, shared by the in-process
-// sweep loop and RunCellTrialRange so the two can never diverge.
+// sweep loop and RunCellTrialRanges so the two can never diverge.
 struct CellTrialParams {
   SweepOptions::Estimand estimand = SweepOptions::Estimand::kMttdl;
   Duration horizon;
@@ -539,10 +548,7 @@ std::vector<SweepCellExecution> RunSweepCellsImpl(
   const Duration horizon = SweepHorizon(options);
   const FaultBias* bias =
       estimand == Estimand::kWeightedLossProbability ? &options.bias : nullptr;
-  const TrialStreams streams =
-      options.seed_mode == SweepOptions::SeedMode::kCounterV1
-          ? TrialStreams::kCounter
-          : TrialStreams::kDerived;
+  const TrialStreams streams = SweepTrialStreams(options);
 
   while (true) {
     // Gather this round's work: every unconverged cell's next trial range.
@@ -673,38 +679,68 @@ AdaptiveRoundDecision JudgeAdaptiveRound(const TrialAccumulator& acc,
   return decision;
 }
 
-std::vector<TrialAccumulator> RunCellTrialRange(WorkerPool& pool,
-                                                const SweepSpec::Cell& cell,
-                                                const SweepOptions& options,
-                                                int64_t begin_trial,
-                                                int64_t end_trial) {
-  if (options.seed_mode != SweepOptions::SeedMode::kCounterV1) {
-    throw std::invalid_argument(
-        "RunCellTrialRange: trial-range execution requires "
-        "SeedMode::kCounterV1 (xoshiro trial streams are only derivable "
-        "from trial 0)");
+std::vector<std::vector<TrialAccumulator>> RunCellTrialRanges(
+    WorkerPool& pool, const std::vector<CellTrialRange>& ranges,
+    const SweepOptions& options) {
+  const FaultBias* bias =
+      options.estimand == SweepOptions::Estimand::kWeightedLossProbability
+          ? &options.bias
+          : nullptr;
+  const bool telemetry = obs::Enabled();
+  std::unique_ptr<std::atomic<int64_t>[]> busy_ns;
+  if (telemetry) {
+    busy_ns = std::make_unique<std::atomic<int64_t>[]>(ranges.size());
   }
-  if (begin_trial < 0 || end_trial < begin_trial) {
-    throw std::invalid_argument("RunCellTrialRange: invalid trial range");
+  std::vector<TrialBatchJob<TrialAccumulator>> jobs(ranges.size());
+  std::vector<uint64_t> seeds(ranges.size());
+  for (size_t i = 0; i < ranges.size(); ++i) {
+    const CellTrialRange& range = ranges[i];
+    if (range.begin_trial < 0 || range.end_trial < range.begin_trial) {
+      throw std::invalid_argument("RunCellTrialRanges: invalid trial range");
+    }
+    TrialBatchJob<TrialAccumulator>& job = jobs[i];
+    job.scenario = &range.cell->scenario;
+    job.bias = bias;
+    job.begin_trial = range.begin_trial;
+    job.end_trial = range.end_trial;
+    if (telemetry) {
+      job.busy_ns = &busy_ns[i];
+    }
+    seeds[i] = SweepCellSeed(options, *range.cell);
   }
-  std::vector<TrialBatchJob<TrialAccumulator>> jobs(1);
-  TrialBatchJob<TrialAccumulator>& job = jobs[0];
-  job.scenario = &cell.scenario;
-  job.bias = options.estimand == SweepOptions::Estimand::kWeightedLossProbability
-                 ? &options.bias
-                 : nullptr;
-  job.begin_trial = begin_trial;
-  job.end_trial = end_trial;
-  const CellTrialParams params{options.estimand, SweepHorizon(options),
-                               SweepCellSeed(options, cell),
-                               TrialStreams::kCounter};
+  const Duration horizon = SweepHorizon(options);
+  const TrialStreams streams = SweepTrialStreams(options);
   const int lanes = options.mc.threads > 0 ? options.mc.threads : pool.size();
   RunTrialBlockSpans(pool, lanes, jobs,
-                     [&params](TrialRunner& runner, size_t, int64_t begin,
-                               int64_t end, TrialAccumulator& acc) {
+                     [&](TrialRunner& runner, size_t job, int64_t begin,
+                         int64_t end, TrialAccumulator& acc) {
+                       const CellTrialParams params{options.estimand, horizon,
+                                                    seeds[job], streams};
                        ExecuteCellTrialSpan(runner, params, begin, end, acc);
                      });
-  return std::move(job.blocks);
+
+  if (telemetry) {
+    // Per fragment, beside the per-cell metrics RunSweepCellsImpl records:
+    // a ranged cell is not a cell of this process, so sweep.cells stays put.
+    static obs::Counter& m_fragments =
+        obs::Registry::Global().counter("sweep.fragments");
+    static obs::Counter& m_trials =
+        obs::Registry::Global().counter("sweep.trials");
+    static obs::Histogram& h_wall =
+        obs::Registry::Global().histogram("sweep.cell_wall_ns");
+    for (size_t i = 0; i < ranges.size(); ++i) {
+      m_fragments.Add(1);
+      m_trials.Add(ranges[i].end_trial - ranges[i].begin_trial);
+      h_wall.Record(busy_ns[i].load(std::memory_order_relaxed));
+    }
+  }
+
+  std::vector<std::vector<TrialAccumulator>> blocks;
+  blocks.reserve(jobs.size());
+  for (TrialBatchJob<TrialAccumulator>& job : jobs) {
+    blocks.push_back(std::move(job.blocks));
+  }
+  return blocks;
 }
 
 std::vector<SweepCellExecution> RunSweepCells(WorkerPool& pool,

@@ -203,10 +203,11 @@ struct SweepOptions {
     // Counter-based streams (src/util/random.h CounterMix): the cell key is
     // DeriveSeed(mc.seed, scenario.CanonicalHash()) as in kScenarioDerived,
     // but draw n of trial t is the pure function CounterMix(key, t, n) —
-    // every draw of every trial is addressable in O(1). This is what makes
-    // *trial-range* sharding deterministic (a worker can run trials
-    // [a, b) of a cell and the fold is bit-identical to a single process).
-    // The eventless-trial prefilter is not specific to this mode: every
+    // every draw of every trial is addressable in O(1). Trial-range
+    // sharding is not specific to this mode: every mode starts trial t's
+    // stream from (cell_seed, t) alone, so a worker can run trials [a, b)
+    // of a cell in any mode and the fold is bit-identical to a single
+    // process. Neither is the eventless-trial prefilter: every
     // seed mode's trial draws are a pure function of (cell_seed, t, n), so
     // all four run the same kernel (TrialRunner::PrefilterBlock), whose
     // integer thresholds fall back to the engine's exact arithmetic near
@@ -310,19 +311,29 @@ AdaptiveRoundDecision JudgeAdaptiveRound(const TrialAccumulator& acc,
                                          int64_t trials_done,
                                          const SweepOptions& options);
 
-// Executes trials [begin_trial, end_trial) of one cell and returns the
-// accumulator of every index-aligned trial block the range covers, in trial
-// order (src/sweep/batch_exec.h's partition). Folding the blocks of a
+// Trials [begin_trial, end_trial) of one cell (not owned; must outlive the
+// RunCellTrialRanges call).
+struct CellTrialRange {
+  const SweepSpec::Cell* cell = nullptr;
+  int64_t begin_trial = 0;
+  int64_t end_trial = 0;
+};
+
+// Executes every range as one job of a single pool pass and returns, per
+// range, the accumulator of every index-aligned trial block it covers, in
+// trial order (src/sweep/batch_exec.h's partition). Folding the blocks of a
 // contiguous, block-aligned tiling of [0, N) in trial order yields exactly
 // the accumulator of a single-process N-trial run — the primitive behind
-// trial-range shards. Requires SeedMode::kCounterV1 (throws
-// std::invalid_argument otherwise: xoshiro streams are only cheap to derive
-// from trial 0) and pre-validated cell/options.
-std::vector<TrialAccumulator> RunCellTrialRange(WorkerPool& pool,
-                                                const SweepSpec::Cell& cell,
-                                                const SweepOptions& options,
-                                                int64_t begin_trial,
-                                                int64_t end_trial);
+// trial-range shards. Every seed mode qualifies: trial t draws from
+// (cell_seed, t) alone — a counter stream in kCounterV1, the xoshiro stream
+// DeriveSeed(cell_seed, t) otherwise — so a range may start anywhere. Cells
+// and options must be pre-validated; throws std::invalid_argument on a
+// negative or reversed range. With telemetry on, each range counts as one
+// sweep.fragments entry, adds its trials to sweep.trials and one busy-time
+// sample to sweep.cell_wall_ns (never to the returned accumulators).
+std::vector<std::vector<TrialAccumulator>> RunCellTrialRanges(
+    WorkerPool& pool, const std::vector<CellTrialRange>& ranges,
+    const SweepOptions& options);
 
 // Validates `options` exactly as SweepRunner::Run does; throws
 // std::invalid_argument on the first inconsistency.

@@ -3,9 +3,9 @@
 //   * the batched SoA kernel (block prefilter + RunCounter) must fold to
 //     exactly the accumulator of a naive per-trial RunCounter loop — the
 //     prefilter is an optimization, never an approximation;
-//   * RunCellTrialRange over any contiguous block-aligned tiling of [0, N)
-//     must concatenate to the whole-run block list bit for bit (the
-//     primitive behind trial-range shards);
+//   * RunCellTrialRanges over any contiguous block-aligned tiling of
+//     [0, N) must concatenate to the whole-run block list bit for bit (the
+//     primitive behind trial-range shards), in every seed mode;
 //   * ResumeSweepCells continues an adaptive run byte-identically to a cold
 //     run at the tighter precision.
 //
@@ -60,6 +60,16 @@ SweepSpec VariedSpec() {
   spec.AddPoint("correlated", 2.0,
                 [](Scenario& scenario) { scenario.alpha = 0.3; });
   return spec;
+}
+
+// One range through the batched entry point.
+std::vector<TrialAccumulator> RunCellTrialRange(WorkerPool& pool,
+                                                const SweepSpec::Cell& cell,
+                                                const SweepOptions& options,
+                                                int64_t begin, int64_t end) {
+  return std::move(
+      RunCellTrialRanges(pool, {CellTrialRange{&cell, begin, end}}, options)
+          .front());
 }
 
 SweepOptions CounterOptions(SweepOptions::Estimand estimand, int64_t trials) {
@@ -212,13 +222,50 @@ TEST(CounterSweepTest, TrialRangeTilingIsByteIdenticalToWholeRun) {
   EXPECT_EQ(AccJson(tail[2]), AccJson(whole[3]));
 }
 
-TEST(CounterSweepTest, TrialRangeRequiresCounterMode) {
-  SweepOptions options = CounterOptions(SweepOptions::Estimand::kMttdl, 100);
-  options.seed_mode = SweepOptions::SeedMode::kScenarioDerived;
+// Every seed mode starts trial t from (cell_seed, t) alone, so a tiling run
+// as ranges of one pool pass folds to exactly the single-process cell.
+TEST(CounterSweepTest, TrialRangeTilingMatchesWholeCellInEverySeedMode) {
   std::vector<SweepSpec::Cell> cells = VariedSpec().BuildCells();
-  EXPECT_THROW(
-      RunCellTrialRange(SweepRunner().pool(), cells[0], options, 0, 100),
-      std::invalid_argument);
+  ValidateSweepCells(cells);
+  WorkerPool& pool = SweepRunner().pool();
+  for (const SweepOptions::SeedMode mode :
+       {SweepOptions::SeedMode::kPerCellDerived,
+        SweepOptions::SeedMode::kSharedRoot,
+        SweepOptions::SeedMode::kScenarioDerived,
+        SweepOptions::SeedMode::kCounterV1}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    SweepOptions options = CounterOptions(SweepOptions::Estimand::kMttdl, 1000);
+    options.seed_mode = mode;
+    ValidateSweepOptions(options);
+    const std::vector<SweepCellExecution> whole =
+        RunSweepCells(pool, cells, options);
+    std::vector<CellTrialRange> ranges;
+    for (const SweepSpec::Cell& cell : cells) {
+      ranges.push_back(CellTrialRange{&cell, 0, 512});
+      ranges.push_back(CellTrialRange{&cell, 512, 1000});
+    }
+    const std::vector<std::vector<TrialAccumulator>> parts =
+        RunCellTrialRanges(pool, ranges, options);
+    ASSERT_EQ(parts.size(), ranges.size());
+    for (size_t c = 0; c < cells.size(); ++c) {
+      SCOPED_TRACE(cells[c].label);
+      TrialAccumulator folded;
+      for (const size_t r : {2 * c, 2 * c + 1}) {
+        for (const TrialAccumulator& block : parts[r]) {
+          folded.MergeFrom(block);
+        }
+      }
+      EXPECT_EQ(AccJson(folded), AccJson(whole[c].acc));
+    }
+  }
+}
+
+TEST(CounterSweepTest, TrialRangeRejectsReversedRange) {
+  const SweepOptions options =
+      CounterOptions(SweepOptions::Estimand::kMttdl, 100);
+  std::vector<SweepSpec::Cell> cells = VariedSpec().BuildCells();
+  EXPECT_THROW(RunCellTrialRange(SweepRunner().pool(), cells[0], options, 50, 10),
+               std::invalid_argument);
 }
 
 TEST(CounterSweepTest, ResumeTighterPrecisionIsByteIdenticalToColdRun) {

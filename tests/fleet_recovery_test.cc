@@ -554,7 +554,97 @@ TEST(FleetRecoveryTest, SweepFleetBinaryMatchesSingleAndSignalsPartial) {
       << partial;
 }
 
-// --- distributed adaptive continuation (RunAdaptive, kCounterV1) -----------
+// --- cell splitting in Run ------------------------------------------------
+
+// Three 256-trial blocks per cell: with shard_count 3, Run deals each cell
+// to all three workers as block-aligned trial ranges.
+SmallSweep MakeMultiBlockSweep(SweepOptions::SeedMode mode) {
+  SmallSweep sweep = MakeSweep();
+  sweep.options.mc.trials = 3 * 256;
+  sweep.options.seed_mode = mode;
+  return sweep;
+}
+
+// Every result document the fleet kept in `dir` (keep_files).
+std::vector<ShardResult> KeptResults(const TempDir& dir) {
+  std::vector<ShardResult> results;
+  DIR* handle = ::opendir(dir.path().c_str());
+  EXPECT_NE(handle, nullptr);
+  if (handle == nullptr) return results;
+  const std::string suffix = ".result.json";
+  while (const dirent* entry = ::readdir(handle)) {
+    const std::string name = entry->d_name;
+    if (name.size() > suffix.size() &&
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0 &&
+        FileExists(dir.path() + "/" + name)) {
+      const std::string path = dir.path() + "/" + name;
+      results.push_back(ShardResult::FromJson(ReadAll(path), path));
+    }
+  }
+  ::closedir(handle);
+  return results;
+}
+
+TEST(FleetRecoveryTest, RunSplitsMultiBlockCellsInEverySeedMode) {
+  for (const SweepOptions::SeedMode mode :
+       {SweepOptions::SeedMode::kPerCellDerived,
+        SweepOptions::SeedMode::kSharedRoot,
+        SweepOptions::SeedMode::kScenarioDerived,
+        SweepOptions::SeedMode::kCounterV1}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    const SmallSweep sweep = MakeMultiBlockSweep(mode);
+    TempDir dir;
+    FleetOptions options = BaseOptions(dir);
+    options.shard_count = 3;
+    options.max_parallel = 3;
+    options.keep_files = true;
+    const FleetReport report =
+        FleetSupervisor(options).Run(sweep.spec, sweep.options);
+    EXPECT_TRUE(report.complete);
+    EXPECT_EQ(report.result.ToJson(),
+              SweepRunner().Run(sweep.spec, sweep.options).ToJson());
+    EXPECT_EQ(report.stats.spawned, 3);
+    const std::vector<ShardResult> results = KeptResults(dir);
+    ASSERT_EQ(results.size(), 3u);
+    for (const ShardResult& result : results) {
+      // One block of each cell per worker, and no whole cells.
+      EXPECT_TRUE(result.cells.empty());
+      ASSERT_EQ(result.fragments.size(), 2u);
+      for (const ShardCellFragment& fragment : result.fragments) {
+        EXPECT_EQ(fragment.trial_end - fragment.trial_begin, 256);
+      }
+    }
+    if (obs::Enabled()) {
+      EXPECT_EQ(report.worker_metrics.counters.at("sweep.fragments"), 6);
+      EXPECT_EQ(report.worker_metrics.counters.at("sweep.trials"), 2 * 768);
+    }
+  }
+}
+
+// A unit of ranged cells that exhausts its retries splits like any other:
+// each single-cell unit keeps its trial range, so the merge still tiles.
+TEST(FleetRecoveryTest, SplitUnitsKeepTheirTrialRangesUnderCrashChaos) {
+  const SmallSweep sweep =
+      MakeMultiBlockSweep(SweepOptions::SeedMode::kPerCellDerived);
+  TempDir dir;
+  FleetOptions options = BaseOptions(dir);
+  options.shard_count = 3;
+  options.max_parallel = 3;
+  options.max_retries = 0;  // first failure exhausts a unit
+  options.fail_mode = "crash";
+  options.fail_prob = 0.5;
+  options.fail_seed = 29;  // unit0 crashes; units 1-5 never do
+  const FleetReport report =
+      FleetSupervisor(options).Run(sweep.spec, sweep.options);
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(report.result.ToJson(),
+            SweepRunner().Run(sweep.spec, sweep.options).ToJson());
+  EXPECT_EQ(report.stats.splits, 1);
+  EXPECT_EQ(report.stats.crashed, 1);
+  EXPECT_EQ(report.stats.spawned, 5);  // 3 units + unit0's two halves
+}
+
+// --- distributed adaptive continuation (RunAdaptive) ------------------------
 
 SmallSweep MakeAdaptiveSweep() {
   SmallSweep sweep = MakeSweep();
@@ -590,6 +680,25 @@ TEST(FleetRecoveryTest, AdaptiveSplitMidCellIsByteIdenticalToSingleProcess) {
   }
 }
 
+// Splitting a round mid-cell needs only that trial t's stream start from
+// (cell_seed, t), which every seed mode provides.
+TEST(FleetRecoveryTest, AdaptiveSplitInScenarioDerivedModeIsByteIdentical) {
+  SmallSweep sweep = MakeAdaptiveSweep();
+  sweep.options.seed_mode = SweepOptions::SeedMode::kScenarioDerived;
+  const std::string expected =
+      SweepRunner().Run(sweep.spec, sweep.options).ToJson();
+  TempDir dir;
+  FleetOptions options = BaseOptions(dir);
+  options.shard_count = 3;
+  const FleetReport report =
+      FleetSupervisor(options).RunAdaptive(sweep.spec, sweep.options);
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(report.result.ToJson(), expected);
+  for (const SweepCellExecution& execution : report.executions) {
+    EXPECT_GT(execution.rounds, 1) << execution.label;
+  }
+}
+
 TEST(FleetRecoveryTest, AdaptiveRecoversByteIdenticallyUnderChaos) {
   const SmallSweep sweep = MakeAdaptiveSweep();
   const std::string expected =
@@ -613,12 +722,6 @@ TEST(FleetRecoveryTest, RunAdaptiveRejectsMisconfiguredOptions) {
   {
     SmallSweep sweep = MakeAdaptiveSweep();
     sweep.options.adaptive = false;
-    EXPECT_THROW(FleetSupervisor(options).RunAdaptive(sweep.spec, sweep.options),
-                 std::invalid_argument);
-  }
-  {
-    SmallSweep sweep = MakeAdaptiveSweep();
-    sweep.options.seed_mode = SweepOptions::SeedMode::kScenarioDerived;
     EXPECT_THROW(FleetSupervisor(options).RunAdaptive(sweep.spec, sweep.options),
                  std::invalid_argument);
   }

@@ -1,5 +1,5 @@
 // Protocol-version-3 trial-range sharding: a shard may own trials [a, b) of
-// a cell instead of the whole cell (SeedMode::kCounterV1 only), shipping the
+// a cell instead of the whole cell (any seed mode), shipping the
 // canonical block-partition accumulators as a ShardCellFragment. The merger
 // assembles a cell the moment its fragments tile [0, cell_trials) and the
 // assembled fold must be byte-identical to the whole-cell single-process
@@ -54,8 +54,8 @@ SweepOptions RangeOptions() {
 
 // The canonical whole-sweep shard (every cell, no ranges), the base every
 // test derives its range shards from.
-ShardSpec BaseShard() {
-  return ShardPlan(RangeSpec(), RangeOptions(), 1).shards().front();
+ShardSpec BaseShard(const SweepOptions& options = RangeOptions()) {
+  return ShardPlan(RangeSpec(), options, 1).shards().front();
 }
 
 ShardSpec WithRanges(std::vector<ShardCellRange> ranges) {
@@ -68,8 +68,9 @@ ShardSpec WithRanges(std::vector<ShardCellRange> ranges) {
 // A shard owning only the listed (cell index, range) slices; end = -1 keeps
 // the cell whole. Cells absent from `parts` are simply not in the shard —
 // the protocol's way of saying "someone else runs those trials".
-ShardSpec Slice(const std::vector<std::pair<size_t, ShardCellRange>>& parts) {
-  const ShardSpec base = BaseShard();
+ShardSpec Slice(const std::vector<std::pair<size_t, ShardCellRange>>& parts,
+                const SweepOptions& options = RangeOptions()) {
+  const ShardSpec base = BaseShard(options);
   ShardSpec shard = base;
   shard.shard_count = 2;
   shard.cells.clear();
@@ -168,10 +169,28 @@ TEST(ShardRangeTest, ThreeWaySplitMergesByteIdentically) {
   EXPECT_EQ(merger.Finish().ToJson(), expected);
 }
 
-TEST(ShardRangeTest, RunShardRejectsRangesOutsideCounterMode) {
-  ShardSpec shard = WithRanges({{0, 512}, {0, -1}});
-  shard.options.seed_mode = SweepOptions::SeedMode::kScenarioDerived;
-  EXPECT_THROW(RunShard(shard), std::invalid_argument);
+// Every seed mode starts trial t from (cell_seed, t) alone, so ranges are
+// not limited to counter streams.
+TEST(ShardRangeTest, FragmentMergeIsByteIdenticalInEverySeedMode) {
+  for (const SweepOptions::SeedMode mode :
+       {SweepOptions::SeedMode::kPerCellDerived,
+        SweepOptions::SeedMode::kSharedRoot,
+        SweepOptions::SeedMode::kScenarioDerived,
+        SweepOptions::SeedMode::kCounterV1}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    SweepOptions options = RangeOptions();
+    options.seed_mode = mode;
+    ShardMerger merger;
+    merger.AddJson(
+        RunShard(Slice({{0, {0, 512}}, {1, {512, 1000}}}, options)).ToJson(),
+        "a");
+    merger.AddJson(
+        RunShard(Slice({{0, {512, 1000}}, {1, {0, 512}}}, options)).ToJson(),
+        "b");
+    ASSERT_TRUE(merger.complete());
+    EXPECT_EQ(merger.Finish().ToJson(),
+              SweepRunner().Run(RangeSpec(), options).ToJson());
+  }
 }
 
 TEST(ShardRangeTest, RunShardRejectsRangesOnAdaptiveSpecs) {

@@ -1,5 +1,6 @@
 #include "src/sim/simulator.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -76,6 +77,35 @@ TEST(SimulatorTest, CancelPreventsDelivery) {
   sim.Run();
   EXPECT_FALSE(fired);
   EXPECT_EQ(sim.processed_count(), 0u);
+}
+
+// Cancelling most of a large queue triggers the in-place compaction; the
+// survivors must still fire in exact (time, scheduling-order) order.
+TEST(SimulatorTest, CompactionKeepsFiringOrder) {
+  CallbackClient client;
+  Simulator sim(&client);
+  std::vector<int> order;
+  const uint16_t record = client.Add([&](int32_t a, int32_t) { order.push_back(a); });
+  std::vector<EventId> ids;
+  for (int i = 0; i < 1000; ++i) {
+    // Many equal times, so the seq tie-break is exercised too.
+    ids.push_back(sim.ScheduleAt(Duration::Hours((i * 37) % 101), record, i));
+  }
+  std::vector<int> expected;
+  for (int i = 0; i < 1000; ++i) {
+    if (i % 7 == 0) {
+      expected.push_back(i);
+    } else {
+      EXPECT_TRUE(sim.Cancel(ids[i]));
+    }
+  }
+  EXPECT_LE(sim.queued_records(), 2 * sim.pending_count() + 1);
+  std::stable_sort(expected.begin(), expected.end(), [](int a, int b) {
+    return (a * 37) % 101 < (b * 37) % 101;
+  });
+  sim.Run();
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(sim.queued_records(), 0u);
 }
 
 TEST(SimulatorTest, CancelFromInsideCallback) {

@@ -1,5 +1,8 @@
 #include "src/storage/replicated_system.h"
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/util/stats.h"
@@ -188,6 +191,40 @@ TEST(StorageSystemTest, CommonModeHitProbabilityScalesImpact) {
   // 20 members x 0.3 hit probability = 6 expected faults per event (slightly
   // fewer since already-faulty members are skipped).
   EXPECT_NEAR(hits_per_event, 6.0, 0.6);
+}
+
+// Every common-mode event cancels and re-arms the clocks of the replicas it
+// hits; without compaction this configuration leaves 2775 heap records for
+// 21 live events. Cancel's compaction keeps the heap near twice the live
+// events (above a 64-record floor).
+TEST(StorageSystemTest, CancelChurnKeepsQueuedRecordsBounded) {
+  StorageSimConfig config;
+  config.replica_count = 20;
+  config.params = AggressiveParams();
+  config.params.mv = Duration::Hours(1e12);
+  config.params.ml = Duration::Hours(1e12);
+  config.params.mrv = Duration::Hours(1.0);
+  std::vector<int> everyone(20);
+  for (int i = 0; i < 20; ++i) {
+    everyone[i] = i;
+  }
+  config.common_mode.push_back(
+      CommonModeSource{"power", Rate::PerYear(10.0), everyone, 0.3, 1.0});
+  Simulator sim;
+  Rng rng(37);
+  ReplicatedStorageSystem system(&sim, &rng, config);
+  system.Start();
+  size_t max_records = 0;
+  size_t max_live = 0;
+  while (!system.lost() && sim.Step(Duration::Years(50.0))) {
+    max_records = std::max(max_records, sim.queued_records());
+    max_live = std::max(max_live, sim.pending_count());
+  }
+  ASSERT_GT(system.metrics().common_mode_events, 100);
+  // The floor plus 2x live: an event may schedule a few records after the
+  // last cancel that compacted.
+  EXPECT_LE(max_records, 64 + 2 * max_live)
+      << max_live << " live events at most";
 }
 
 TEST(StorageSystemTest, PaperConventionRunsSerialRepair) {

@@ -23,7 +23,10 @@
 // Execution:
 //   --single             run in-process (SweepRunner; the golden reference)
 //   --worker=PATH        sweep_worker binary for fleet runs
-//   --shards=K           initial shard count            (default 3)
+//   --shards=K           initial shard count            (default 3); each
+//                        shard gets a block-aligned trial range of every
+//                        cell over 256 trials, in any seed mode (adaptive
+//                        sweeps keep whole cells)
 //   --max-parallel=N     concurrent workers             (default 2)
 //   --max-retries=N      retries per unit after first attempt (default 3)
 //   --timeout-s=T        per-attempt wall clock, 0 = none (default 120)
