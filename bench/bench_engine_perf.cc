@@ -2,8 +2,9 @@
 //
 // Measures the substrate costs that determine how far the Monte Carlo
 // harness scales: event-queue throughput, end-to-end trial cost (fresh
-// construction vs TrialRunner reuse), CTMC solve time (GTH elimination), and
-// the matrix exponential used for mission-loss probabilities.
+// construction vs TrialRunner reuse, and the scrubbed §5.4 Cheetah cell),
+// CTMC solve time (GTH elimination), and the matrix exponential used for
+// mission-loss probabilities.
 //
 // The whole binary links against a counting global allocator so the
 // steady-state schedule/fire path can be asserted allocation-free; run via
@@ -83,28 +84,32 @@ class CountingClient : public SimClient {
   int64_t fired_ = 0;
 };
 
-// Canonical engine measurement: steady-state schedule/fire throughput on a
-// warm (Reset-reused) engine — the scope the Monte Carlo hot path pays, and
-// the one the allocation-free design targets. NOTE: the seed revision of
-// this benchmark constructed a fresh Simulator per iteration; that scope is
+// Canonical engine measurement: steady-state arm/fire throughput on a warm
+// (Reset-reused) engine — the scope the Monte Carlo hot path pays, and the
+// one the allocation-free design targets. One source per event, all armed
+// at once. Step() scans the pending events, so a full drain is quadratic in
+// the count: no workload holds more than a few hundred pending events, and
+// no series here goes past a few thousand. NOTE: the seed revision of this
+// benchmark constructed a fresh Simulator per iteration; that scope is
 // preserved separately below as BM_EventQueueScheduleAndRunFreshEngine so
 // the perf trajectory stays interpretable.
 void BM_EventQueueScheduleAndRun(benchmark::State& state) {
   const int events = static_cast<int>(state.range(0));
   Rng rng(1);
   CountingClient client;
-  Simulator sim(&client);
+  Simulator sim(&client, static_cast<uint32_t>(events));
   for (auto _ : state) {
     sim.Reset();
     for (int i = 0; i < events; ++i) {
-      sim.ScheduleAt(rng.NextUniform(Duration::Zero(), Duration::Hours(1000.0)), 0);
+      sim.Arm(static_cast<uint32_t>(i),
+              rng.NextUniform(Duration::Zero(), Duration::Hours(1000.0)), 0);
     }
     sim.Run();
     benchmark::DoNotOptimize(client.fired());
   }
   state.SetItemsProcessed(state.iterations() * events);
 }
-BENCHMARK(BM_EventQueueScheduleAndRun)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_EventQueueScheduleAndRun)->Arg(1000);
 
 // Fresh engine per iteration — the seed benchmark's measurement scope.
 // Includes construction, container growth, and first-touch page faults,
@@ -114,31 +119,33 @@ void BM_EventQueueScheduleAndRunFreshEngine(benchmark::State& state) {
   Rng rng(1);
   CountingClient client;
   for (auto _ : state) {
-    Simulator sim(&client);
+    Simulator sim(&client, static_cast<uint32_t>(events));
     for (int i = 0; i < events; ++i) {
-      sim.ScheduleAt(rng.NextUniform(Duration::Zero(), Duration::Hours(1000.0)), 0);
+      sim.Arm(static_cast<uint32_t>(i),
+              rng.NextUniform(Duration::Zero(), Duration::Hours(1000.0)), 0);
     }
     sim.Run();
     benchmark::DoNotOptimize(client.fired());
   }
   state.SetItemsProcessed(state.iterations() * events);
 }
-BENCHMARK(BM_EventQueueScheduleAndRunFreshEngine)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_EventQueueScheduleAndRunFreshEngine)->Arg(1000);
 
 // The acceptance gate for the allocation-free engine: after one warm-up
-// round has grown the internal buffers, a full schedule/fire cycle must not
-// touch the heap at all. A violation fails the benchmark run.
+// round, a full arm/fire cycle must not touch the heap at all. A violation
+// fails the benchmark run.
 void BM_EventQueueSteadyStateAllocs(benchmark::State& state) {
-  // Replays one fixed 4096-event workload: the first pass grows the engine's
-  // buffers to this workload's high-water mark, after which re-running it
-  // must never touch the allocator again.
+  // Replays one fixed 4096-event workload, one source per event: the first
+  // pass runs the workload once, after which re-running it must never touch
+  // the allocator again.
   constexpr int kEvents = 4096;
   CountingClient client;
-  Simulator sim(&client);
+  Simulator sim(&client, kEvents);
   {
     Rng rng(3);  // warm-up pass
     for (int i = 0; i < kEvents; ++i) {
-      sim.ScheduleAt(rng.NextUniform(Duration::Zero(), Duration::Hours(1000.0)), 0);
+      sim.Arm(static_cast<uint32_t>(i),
+              rng.NextUniform(Duration::Zero(), Duration::Hours(1000.0)), 0);
     }
     sim.Run();
   }
@@ -148,7 +155,8 @@ void BM_EventQueueSteadyStateAllocs(benchmark::State& state) {
     Rng rng(3);
     const int64_t before = AllocCount();
     for (int i = 0; i < kEvents; ++i) {
-      sim.ScheduleAt(rng.NextUniform(Duration::Zero(), Duration::Hours(1000.0)), 0);
+      sim.Arm(static_cast<uint32_t>(i),
+              rng.NextUniform(Duration::Zero(), Duration::Hours(1000.0)), 0);
     }
     sim.Run();
     allocs += AllocCount() - before;
@@ -164,17 +172,14 @@ BENCHMARK(BM_EventQueueSteadyStateAllocs);
 
 void BM_EventCancellation(benchmark::State& state) {
   CountingClient client;
-  Simulator sim(&client);
-  std::vector<EventId> ids;
-  ids.reserve(1000);
+  Simulator sim(&client, 1000);
   for (auto _ : state) {
     sim.Reset();
-    ids.clear();
-    for (int i = 0; i < 1000; ++i) {
-      ids.push_back(sim.ScheduleAt(Duration::Hours(static_cast<double>(i + 1)), 0));
+    for (uint32_t i = 0; i < 1000; ++i) {
+      sim.Arm(i, Duration::Hours(static_cast<double>(i + 1)), 0);
     }
-    for (size_t i = 0; i < ids.size(); i += 2) {
-      sim.Cancel(ids[i]);
+    for (uint32_t i = 0; i < 1000; i += 2) {
+      sim.Disarm(i);
     }
     sim.Run();
     benchmark::DoNotOptimize(sim.processed_count());
@@ -230,6 +235,42 @@ void BM_MirroredTrialToLossReused(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MirroredTrialToLossReused);
+
+// The scrubbed §5.4 Cheetah cell on a reused TrialRunner: the model's most
+// expensive trials (hundreds of fault/detect/repair events each, run to
+// loss). Reports events per second, and asserts the trial loop stays
+// allocation-free outside the RunOutcome it returns.
+void BM_CheetahScrubbedTrialReused(benchmark::State& state) {
+  StorageSimConfig config;
+  config.replica_count = 2;
+  config.params = ApplyScrubPolicy(FaultParams::PaperCheetahExample(),
+                                   ScrubPolicy::PeriodicPerYear(3.0));
+  config.scrub = ScrubPolicy::Exponential(config.params.mdl);
+  const Duration horizon = McConfig{}.max_trial_time;
+  TrialRunner runner(config);
+  const Simulator& sim = runner.system().simulator();
+  uint64_t seed = 0;
+  for (int i = 0; i < 64; ++i) {  // warm-up
+    (void)runner.Run(seed++, horizon);
+  }
+  int64_t events = 0;
+  const int64_t before = AllocCount();
+  for (auto _ : state) {
+    const RunOutcome outcome = runner.Run(seed++, horizon);
+    benchmark::DoNotOptimize(outcome.loss_time);
+    events += static_cast<int64_t>(sim.processed_count());
+  }
+  const int64_t allocs = AllocCount() - before;
+  state.SetItemsProcessed(events);
+  state.counters["events_per_trial"] = benchmark::Counter(
+      static_cast<double>(events) / static_cast<double>(state.iterations()));
+  state.counters["allocs_per_trial"] = benchmark::Counter(
+      static_cast<double>(allocs) / static_cast<double>(state.iterations()));
+  if (allocs != 0) {
+    state.SkipWithError("scrubbed Cheetah trial loop performed heap allocations");
+  }
+}
+BENCHMARK(BM_CheetahScrubbedTrialReused);
 
 void BM_McLossProbability1kTrials(benchmark::State& state) {
   StorageSimConfig config;

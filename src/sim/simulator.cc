@@ -1,162 +1,60 @@
 #include "src/sim/simulator.h"
 
-#include <limits>
 #include <stdexcept>
 
 namespace longstore {
 
-void Simulator::HeapPush(const EventRecord& record) {
-  heap_.push_back(record);
-  size_t hole = heap_.size() - 1;
-  while (hole > 0) {
-    const size_t parent = (hole - 1) / 4;
-    if (!record.FiresBefore(heap_[parent])) {
-      break;
-    }
-    heap_[hole] = heap_[parent];
-    hole = parent;
+void Simulator::Attach(SimClient* client, uint32_t source_count) {
+  if (!pending_.empty()) {
+    throw std::logic_error("Simulator::Attach: events are pending");
   }
-  heap_[hole] = record;
+  client_ = client;
+  sources_.assign(source_count, Source{});
+  // Each source holds at most one event, so arming never grows the array.
+  pending_.reserve(source_count);
 }
 
-void Simulator::SiftDown(size_t hole, const EventRecord moved) {
-  const size_t size = heap_.size();
-  for (;;) {
-    const size_t first_child = hole * 4 + 1;
-    if (first_child >= size) {
-      break;
-    }
-    size_t best = first_child;
-    const size_t last_child = first_child + 4 <= size ? first_child + 4 : size;
-    for (size_t child = first_child + 1; child < last_child; ++child) {
-      if (heap_[child].FiresBefore(heap_[best])) {
-        best = child;
-      }
-    }
-    if (!heap_[best].FiresBefore(moved)) {
-      break;
-    }
-    heap_[hole] = heap_[best];
-    hole = best;
-  }
-  heap_[hole] = moved;
+void Simulator::ThrowSourceOutOfRange() {
+  throw std::out_of_range("Simulator: event source out of range");
 }
 
-void Simulator::HeapPop() {
-  const EventRecord moved = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    SiftDown(0, moved);
-  }
-}
-
-void Simulator::CompactHeap() {
-  size_t kept = 0;
-  for (const EventRecord& record : heap_) {
-    const Slot& s = slots_[record.slot];
-    if (s.live && s.generation == record.generation) {
-      heap_[kept++] = record;
-    }
-  }
-  heap_.resize(kept);  // shrinking keeps the capacity: no allocation
-  // Floyd's heapify: sift every internal node down, deepest first.
-  for (size_t node = kept > 1 ? (kept - 2) / 4 + 1 : 0; node-- > 0;) {
-    SiftDown(node, heap_[node]);
-  }
-}
-
-EventId Simulator::ScheduleAt(Duration t, uint16_t tag, int32_t a, int32_t b) {
+void Simulator::ThrowArmError(uint32_t source, Duration t) const {
   if (t < now_) {
-    throw std::invalid_argument("ScheduleAt: cannot schedule in the past");
+    throw std::invalid_argument("Arm: cannot schedule in the past");
   }
-  if (!(t.hours() < std::numeric_limits<double>::infinity())) {  // +inf or NaN
-    throw std::invalid_argument("ScheduleAt: time must be finite");
+  if (!(t.hours() < kInfiniteHours)) {  // +inf or NaN
+    throw std::invalid_argument("Arm: time must be finite");
   }
   if (client_ == nullptr) {
-    throw std::logic_error("ScheduleAt: no SimClient attached");
+    throw std::logic_error("Arm: no SimClient attached");
   }
-  uint32_t slot;
-  if (free_head_ != kFreeListEnd) {
-    slot = free_head_;
-    free_head_ = slots_[slot].next_free;
-  } else {
-    slot = static_cast<uint32_t>(slots_.size());
-    slots_.push_back(Slot{});
-  }
-  Slot& s = slots_[slot];
-  s.live = true;
-  s.tag = tag;
-  s.a = a;
-  s.b = b;
-  HeapPush(EventRecord{t.hours(), next_seq_++, slot, s.generation});
-  ++live_count_;
-  return EventId((static_cast<uint64_t>(s.generation) << 32) |
-                 (static_cast<uint64_t>(slot) + 1));
-}
-
-EventId Simulator::ScheduleAfter(Duration delay, uint16_t tag, int32_t a,
-                                 int32_t b) {
-  return ScheduleAt(now_ + delay, tag, a, b);
-}
-
-void Simulator::ReleaseSlot(uint32_t slot) {
-  Slot& s = slots_[slot];
-  s.live = false;
-  ++s.generation;  // invalidates the handle and any stale queued record
-  s.next_free = free_head_;
-  free_head_ = slot;
-  --live_count_;
-}
-
-bool Simulator::Cancel(EventId id) {
-  if (!id.is_valid()) {
-    return false;
-  }
-  const uint32_t slot_plus_one = static_cast<uint32_t>(id.value());
-  if (slot_plus_one == 0 || static_cast<size_t>(slot_plus_one) > slots_.size()) {
-    return false;
-  }
-  const uint32_t slot = slot_plus_one - 1;
-  const uint32_t generation = static_cast<uint32_t>(id.value() >> 32);
-  const Slot& s = slots_[slot];
-  if (!s.live || s.generation != generation) {
-    return false;  // already fired, already cancelled, or a stale handle
-  }
-  ReleaseSlot(slot);
-  // Cancelled records otherwise wait in the heap until they surface; a
-  // cancel-heavy trial (common-mode faults re-arming every replica) can
-  // pile up a hundred stale records per live one. Compacting once stale
-  // records are the majority keeps the heap within 2x the live events at
-  // amortized O(1) per cancel. Firing order cannot move: (time, seq) is a
-  // strict total order, so any valid heap pops the same sequence.
-  if (heap_.size() > kCompactFloor && heap_.size() > 2 * live_count_) {
-    CompactHeap();
-  }
-  return true;
+  (void)SourceAt(source);  // throws std::out_of_range
+  throw std::logic_error("Arm: event source is already armed");
 }
 
 bool Simulator::Step(Duration horizon) {
-  while (!heap_.empty()) {
-    const EventRecord record = heap_.front();
-    const Slot& s = slots_[record.slot];
-    if (!s.live || s.generation != record.generation) {
-      HeapPop();  // cancelled since it was pushed: discard and look again
-      continue;
-    }
-    if (record.time_hours > horizon.hours()) {
-      return false;
-    }
-    HeapPop();
-    const uint16_t tag = s.tag;
-    const int32_t a = s.a;
-    const int32_t b = s.b;
-    ReleaseSlot(record.slot);
-    now_ = Duration::Hours(record.time_hours);
-    ++processed_;
-    client_->OnSimEvent(tag, a, b);
-    return true;
+  if (pending_.empty()) {
+    return false;
   }
-  return false;
+  // A linear scan: clients hold a handful of pending events (see README),
+  // where a scan beats any ordered structure's upkeep.
+  uint32_t next = 0;
+  for (uint32_t i = 1; i < pending_.size(); ++i) {
+    if (pending_[i].FiresBefore(pending_[next])) {
+      next = i;
+    }
+  }
+  const Pending event = pending_[next];
+  if (event.time_hours > horizon.hours()) {
+    return false;
+  }
+  RemovePending(next);
+  // Copied out first: the handler may re-arm this source.
+  const Source s = sources_[event.source];
+  now_ = Duration::Hours(event.time_hours);
+  ++processed_;
+  client_->OnSimEvent(s.tag, s.a, s.b);
+  return true;
 }
 
 void Simulator::Run() {
@@ -175,22 +73,14 @@ void Simulator::RunUntil(Duration horizon) {
 }
 
 void Simulator::Reset() {
-  // Release every still-pending record's slot instead of clearing the slot
-  // table: a cleared table would restart generations at zero and let a
-  // handle from before the Reset collide with a new event in the same slot.
-  // O(heap records), which is zero after a fully drained run; the table and
-  // free list (and the heap's capacity) survive intact.
-  for (const EventRecord& record : heap_) {
-    const Slot& s = slots_[record.slot];
-    if (s.live && s.generation == record.generation) {
-      ReleaseSlot(record.slot);  // bumps the generation: stale handles die
-    }
+  for (const Pending& event : pending_) {
+    sources_[event.source].pending_index = kUnarmed;
   }
-  heap_.clear();
+  pending_.clear();  // keeps the capacity
   now_ = Duration::Zero();
   next_seq_ = 1;
   processed_ = 0;
-  live_count_ = 0;
+  peak_pending_ = 0;
   stopped_ = false;
 }
 

@@ -4,42 +4,29 @@
 // Carlo harness comes from running many independent Simulator instances, one
 // per worker thread, never from sharing one engine across threads.
 //
-// The engine is allocation-free in steady state: events are plain records
-// stored inline in one 4-ary min-heap (no std::function, no per-event node),
-// ordered by (time, seq). Cancellation is lazy via generation-stamped slot
-// handles, with an in-place compaction once cancelled records outnumber live
-// ones. See src/sim/README.md for the design and the
-// Reset()/handle-invalidation contract.
+// The engine is a table of event sources. The client declares how many
+// sources it has, numbered [0, n), and each source holds at most one pending
+// event: a fault clock, an audit, a repair. Pending events live in one
+// compact array that Step() scans for the earliest (time, seq); arming
+// appends, firing and disarming swap-remove. The engine is allocation-free
+// once attached: the array never outgrows the source count. See
+// src/sim/README.md for the design and the Reset() contract.
 
 #ifndef LONGSTORE_SRC_SIM_SIMULATOR_H_
 #define LONGSTORE_SRC_SIM_SIMULATOR_H_
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "src/util/units.h"
 
 namespace longstore {
 
-// Opaque handle for a scheduled event; valid until the event fires, is
-// cancelled, or the simulator is Reset() (which invalidates all handles).
-class EventId {
- public:
-  constexpr EventId() : value_(0) {}
-  explicit constexpr EventId(uint64_t value) : value_(value) {}
-
-  constexpr uint64_t value() const { return value_; }
-  constexpr bool is_valid() const { return value_ != 0; }
-  constexpr bool operator==(const EventId&) const = default;
-
- private:
-  uint64_t value_;
-};
-
-// Receiver of fired events. The simulator stores no callbacks: every event
-// carries a client-defined tag plus two integer payload words, and firing
-// dispatches them here. Implementations switch on the tag (the storage layer's
-// dispatch lives in ReplicatedStorageSystem::OnSimEvent).
+// Receiver of fired events. The simulator stores no callbacks: every armed
+// source carries a client-defined tag plus two integer payload words, and
+// firing dispatches them here. Implementations switch on the tag (the
+// storage layer's dispatch lives in ReplicatedStorageSystem::OnSimEvent).
 class SimClient {
  public:
   virtual void OnSimEvent(uint16_t tag, int32_t a, int32_t b) = 0;
@@ -50,38 +37,69 @@ class SimClient {
 
 class Simulator {
  public:
-  explicit Simulator(SimClient* client = nullptr) : client_(client) {}
+  explicit Simulator(SimClient* client = nullptr, uint32_t source_count = 0) {
+    Attach(client, source_count);
+  }
 
   // Not copyable or movable: clients capture `this`.
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  // The client receives every fired event. Must be set before the first
-  // Schedule call; a ReplicatedStorageSystem attaches itself on construction.
-  void set_client(SimClient* client) { client_ = client; }
+  // Attaches the client that receives every fired event and declares its
+  // event sources [0, source_count). Throws std::logic_error while an event
+  // is pending. A ReplicatedStorageSystem attaches itself on construction.
+  void Attach(SimClient* client, uint32_t source_count);
   SimClient* client() const { return client_; }
+  uint32_t source_count() const { return static_cast<uint32_t>(sources_.size()); }
 
   Duration now() const { return now_; }
 
-  // Schedules an event at absolute simulated time `t` (>= now, and finite;
-  // scheduling "never" is expressed by simply not scheduling). Events at equal
-  // times fire in scheduling order (stable FIFO tie-break), which keeps fault
-  // histories reproducible. `tag`, `a`, `b` are delivered verbatim to the
-  // client's OnSimEvent.
-  EventId ScheduleAt(Duration t, uint16_t tag, int32_t a = 0, int32_t b = 0);
-  EventId ScheduleAfter(Duration delay, uint16_t tag, int32_t a = 0,
-                        int32_t b = 0);
+  // Arms `source` to fire at absolute simulated time `t` (>= now, and
+  // finite; "never" is expressed by not arming). Events at equal times fire
+  // in arming order (stable FIFO tie-break), which keeps fault histories
+  // reproducible. `tag`, `a`, `b` are delivered verbatim to the client's
+  // OnSimEvent. A source holds one event: arming an armed source throws
+  // std::logic_error (disarm it first), and a source index outside
+  // [0, source_count()) throws std::out_of_range.
+  void Arm(uint32_t source, Duration t, uint16_t tag, int32_t a = 0, int32_t b = 0) {
+    if (!(t >= now_ && t.hours() < kInfiniteHours) || client_ == nullptr ||
+        source >= sources_.size() || sources_[source].pending_index != kUnarmed) {
+      ThrowArmError(source, t);
+    }
+    Source& s = sources_[source];
+    s.pending_index = static_cast<uint32_t>(pending_.size());
+    s.tag = tag;
+    s.a = a;
+    s.b = b;
+    pending_.push_back(Pending{t.hours(), next_seq_++, source});
+    if (pending_.size() > peak_pending_) {
+      peak_pending_ = pending_.size();
+    }
+  }
+  void ArmAfter(uint32_t source, Duration delay, uint16_t tag, int32_t a = 0,
+                int32_t b = 0) {
+    Arm(source, now_ + delay, tag, a, b);
+  }
 
-  // Cancels a pending event. Returns false if it already fired, was already
-  // cancelled, or the handle is invalid. O(1): the heap entry goes stale and
-  // is discarded when it reaches the top.
-  bool Cancel(EventId id);
+  // Drops `source`'s pending event. Returns whether one was pending. O(1).
+  bool Disarm(uint32_t source) {
+    const uint32_t index = SourceAt(source).pending_index;
+    if (index == kUnarmed) {
+      return false;
+    }
+    RemovePending(index);
+    return true;
+  }
+
+  // Whether `source` holds a pending event. A source is disarmed before its
+  // event is dispatched, so a handler may re-arm the source that fired.
+  bool armed(uint32_t source) const { return SourceAt(source).pending_index != kUnarmed; }
 
   // Fires the next pending event whose time is <= `horizon`. Returns false
   // when no such event remains (the clock is left untouched in that case).
   bool Step(Duration horizon = Duration::Infinite());
 
-  // Runs until the queue is empty or Stop() is called.
+  // Runs until no event is pending or Stop() is called.
   void Run();
 
   // Processes all events with time <= horizon, then advances the clock to
@@ -94,76 +112,73 @@ class Simulator {
   void Stop() { stopped_ = true; }
   bool stopped() const { return stopped_; }
 
-  // Returns the engine to its just-constructed state (time zero, empty queue)
-  // while keeping every internal buffer's capacity, so a reused simulator
-  // schedules and fires events without touching the heap allocator. All
-  // outstanding EventIds are invalidated; callers must drop cached handles.
-  // The attached client is kept.
+  // Returns the engine to its just-attached state (time zero, every source
+  // disarmed) while keeping every buffer's capacity, so a reused simulator
+  // arms and fires events without touching the heap allocator. The client
+  // and its source count are kept.
   void Reset();
 
-  size_t pending_count() const { return live_count_; }
-  // Heap records, live or cancelled-but-not-yet-discarded; Cancel keeps it
-  // within max(kCompactFloor, 2 x pending_count()) plus the records
-  // scheduled since the last compaction.
-  size_t queued_records() const { return heap_.size(); }
+  size_t pending_count() const { return pending_.size(); }
+  // Most events pending at once since the last Reset() (or Attach()).
+  size_t peak_pending() const { return peak_pending_; }
   uint64_t processed_count() const { return processed_; }
 
  private:
-  // One scheduled event, stored inline in the heap: 24 bytes, so a sift
-  // touches few cache lines. The tag/payload live in the slot table; the
-  // `slot`/`generation` pair ties the record to its handle, and a record
-  // whose generation no longer matches its slot has been cancelled (or
-  // already fired) and is skipped on pop.
-  struct EventRecord {
+  // One pending event: 24 bytes, so the scan in Step() reads few cache
+  // lines. The tag and payload stay in the source's table entry.
+  struct Pending {
     double time_hours;
     uint64_t seq;  // FIFO tie-break for equal times
-    uint32_t slot;
-    uint32_t generation;
+    uint32_t source;
 
-    bool FiresBefore(const EventRecord& other) const {
+    bool FiresBefore(const Pending& other) const {
       if (time_hours != other.time_hours) {
         return time_hours < other.time_hours;
       }
       return seq < other.seq;
     }
   };
-  static constexpr uint32_t kFreeListEnd = ~uint32_t{0};
-  // Heaps this small are never compacted: scanning them costs more than
-  // the stale records do.
-  static constexpr size_t kCompactFloor = 64;
+  static constexpr uint32_t kUnarmed = ~uint32_t{0};
 
-  struct Slot {
-    uint32_t generation = 0;
-    bool live = false;
+  struct Source {
+    uint32_t pending_index = kUnarmed;  // position in pending_, or kUnarmed
     uint16_t tag = 0;
     int32_t a = 0;
     int32_t b = 0;
-    // Intrusive free list: index of the next free slot (kFreeListEnd
-    // terminates). Valid only while the slot is not live.
-    uint32_t next_free = kFreeListEnd;
   };
 
-  void ReleaseSlot(uint32_t slot);
-  // The queue is a 4-ary implicit min-heap on (time, seq): half the depth of
-  // a binary heap, and the four children of a node sit on adjacent cache
-  // lines. Hole-based sifts move each record once instead of swapping.
-  void HeapPush(const EventRecord& record);
-  void HeapPop();
-  // Moves `moved` down from `hole` to its place in the heap.
-  void SiftDown(size_t hole, EventRecord moved);
-  // Drops every cancelled record in place and re-heapifies.
-  void CompactHeap();
+  static constexpr double kInfiniteHours = std::numeric_limits<double>::infinity();
+
+  const Source& SourceAt(uint32_t source) const {
+    if (source >= sources_.size()) {
+      ThrowSourceOutOfRange();
+    }
+    return sources_[source];
+  }
+  // The throw paths, kept out of line so the inline fast paths stay small.
+  [[noreturn]] void ThrowArmError(uint32_t source, Duration t) const;
+  [[noreturn]] static void ThrowSourceOutOfRange();
+
+  // Swap-removes pending_[index] and marks its source disarmed.
+  void RemovePending(uint32_t index) {
+    sources_[pending_[index].source].pending_index = kUnarmed;
+    const Pending last = pending_.back();
+    pending_.pop_back();
+    if (index < pending_.size()) {
+      pending_[index] = last;
+      sources_[last.source].pending_index = index;
+    }
+  }
 
   Duration now_ = Duration::Zero();
   uint64_t next_seq_ = 1;
   uint64_t processed_ = 0;
-  size_t live_count_ = 0;
+  size_t peak_pending_ = 0;
   bool stopped_ = false;
-  SimClient* client_;
+  SimClient* client_ = nullptr;
 
-  std::vector<EventRecord> heap_;  // 4-ary min-heap on (time, seq)
-  std::vector<Slot> slots_;
-  uint32_t free_head_ = kFreeListEnd;
+  std::vector<Source> sources_;
+  std::vector<Pending> pending_;  // unordered; capacity >= sources_.size()
 };
 
 }  // namespace longstore

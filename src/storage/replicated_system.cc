@@ -107,7 +107,7 @@ std::optional<std::string> StorageSimConfig::Validate() const {
   if (scrub.kind != ScrubPolicy::Kind::kNone &&
       (!(scrub.interval.hours() > 0.0) || scrub.interval.is_infinite())) {
     // An infinite interval would feed NaN into the periodic tick arithmetic
-    // and "never" into ScheduleAfter (which requires finite times).
+    // and "never" into ArmAfter (which requires finite times).
     return "scrub interval must be finite and positive";
   }
   if (record_scrub_passes && scrub.kind != ScrubPolicy::Kind::kPeriodic) {
@@ -151,8 +151,9 @@ ReplicatedStorageSystem::ReplicatedStorageSystem(Simulator* sim, Rng* rng,
     }
 #endif
   }
-  sim_->set_client(this);
   replica_count_ = scenario_.replica_count();
+  // The source after the last common-mode source is the source count.
+  sim_->Attach(this, CommonModeSourceOf(scenario_.common_mode.size()));
   required_intact_ = scenario_.required_intact;
   alpha_ = scenario_.alpha;
   convention_ = scenario_.convention;
@@ -229,10 +230,6 @@ void ReplicatedStorageSystem::InitializeState() {
     // A pre-aged replica has a birth time in the (virtual) past.
     replica.birth_time =
         Duration::Zero() - resolved_[static_cast<size_t>(i)].initial_age;
-    replica.visible_event = EventId();
-    replica.latent_event = EventId();
-    replica.detect_event = EventId();
-    replica.repair_event = EventId();
   }
   faulty_count_ = 0;
   lost_ = false;
@@ -240,9 +237,6 @@ void ReplicatedStorageSystem::InitializeState() {
   metrics_ = SimMetrics{};
   window_open_ = false;
   window_first_fault_ = FaultKind::kVisible;
-  system_visible_event_ = EventId();
-  system_latent_event_ = EventId();
-  system_detect_event_ = EventId();
   repair_head_ = 0;
   repair_queued_ = 0;
   repair_active_ = false;
@@ -457,16 +451,14 @@ Duration ReplicatedStorageSystem::ScrubTickAfter(const ResolvedReplica& rp,
 void ReplicatedStorageSystem::ScheduleReplicaFaults(int i) {
   auto& replica = replicas_[static_cast<size_t>(i)];
   const ResolvedReplica& rp = resolved_[static_cast<size_t>(i)];
-  sim_->Cancel(replica.visible_event);
-  sim_->Cancel(replica.latent_event);
-  replica.visible_event = EventId();
-  replica.latent_event = EventId();
+  const uint32_t clock = SourceOf(i, kFaultClock);
+  sim_->Disarm(clock);
   if (replica.state == ReplicaState::kHealthy) {
-    // Both fault clocks are always cancelled and redrawn together (on a
+    // Both fault clocks are always disarmed and redrawn together (on a
     // fault, a repair, or a correlation change), so only the earlier of the
     // two can ever fire: draw both delays (keeping the random stream
-    // unchanged) but enqueue just the winner. Visible wins ties, matching
-    // the old visible-first scheduling order.
+    // unchanged) but arm the fault clock with just the winner. Visible wins
+    // ties, matching the old visible-first scheduling order.
     const bool has_visible = !rp.mv.is_infinite();
     const bool has_latent = !rp.ml.is_infinite();
     const Duration visible_delay =
@@ -474,14 +466,14 @@ void ReplicatedStorageSystem::ScheduleReplicaFaults(int i) {
     const Duration latent_delay =
         has_latent ? DrawFaultDelay(i, FaultKind::kLatent) : Duration::Zero();
     if (has_visible && (!has_latent || visible_delay <= latent_delay)) {
-      replica.visible_event = sim_->ScheduleAfter(visible_delay, kEvVisibleFault, i);
+      sim_->ArmAfter(clock, visible_delay, kEvVisibleFault, i);
     } else if (has_latent) {
-      replica.latent_event = sim_->ScheduleAfter(latent_delay, kEvLatentFault, i);
+      sim_->ArmAfter(clock, latent_delay, kEvLatentFault, i);
     }
   } else if (replica.state == ReplicaState::kLatentFaulty &&
              visible_fault_surfaces_latent_ && !rp.mv.is_infinite()) {
     const Duration delay = DrawFaultDelay(i, FaultKind::kVisible);
-    replica.visible_event = sim_->ScheduleAfter(delay, kEvVisibleFault, i);
+    sim_->ArmAfter(clock, delay, kEvVisibleFault, i);
   }
 }
 
@@ -499,15 +491,12 @@ void ReplicatedStorageSystem::RescheduleFaultsForCorrelationChange() {
 }
 
 void ReplicatedStorageSystem::ScheduleSystemFaultClocks() {
-  sim_->Cancel(system_visible_event_);
-  sim_->Cancel(system_latent_event_);
-  system_visible_event_ = EventId();
-  system_latent_event_ = EventId();
+  sim_->Disarm(SystemFaultClock());
   if (lost_ || intact_count() == 0) {
     return;
   }
   // As with the per-replica clocks, the pair is always redrawn together
-  // after either fires, so only the earlier one is enqueued. kPaper fleets
+  // after either fires, so only the earlier one is armed. kPaper fleets
   // are homogeneous; replica 0 carries the system-level rates.
   const ResolvedReplica& rp = resolved_[0];
   const double mult = CorrelationMultiplier();
@@ -525,17 +514,16 @@ void ReplicatedStorageSystem::ScheduleSystemFaultClocks() {
   const Duration latent_delay =
       has_latent ? draw(rp.ml / mult, FaultKind::kLatent) : Duration::Zero();
   if (has_visible && (!has_latent || visible_delay <= latent_delay)) {
-    system_visible_event_ = sim_->ScheduleAfter(visible_delay, kEvSystemVisibleFault);
+    sim_->ArmAfter(SystemFaultClock(), visible_delay, kEvSystemVisibleFault);
   } else if (has_latent) {
-    system_latent_event_ = sim_->ScheduleAfter(latent_delay, kEvSystemLatentFault);
+    sim_->ArmAfter(SystemFaultClock(), latent_delay, kEvSystemLatentFault);
   }
 }
 
 void ReplicatedStorageSystem::ScheduleDetection(int i) {
-  auto& replica = replicas_[static_cast<size_t>(i)];
   const ResolvedReplica& rp = resolved_[static_cast<size_t>(i)];
-  sim_->Cancel(replica.detect_event);
-  replica.detect_event = EventId();
+  const uint32_t detect = SourceOf(i, kDetectSource);
+  sim_->Disarm(detect);
   switch (rp.scrub.kind) {
     case ScrubPolicy::Kind::kNone:
       return;
@@ -544,13 +532,13 @@ void ReplicatedStorageSystem::ScheduleDetection(int i) {
         return;  // the scrub-tick loop performs detection
       }
       const Duration tick = ScrubTickAfter(rp, sim_->now());
-      replica.detect_event = sim_->ScheduleAt(tick, kEvDetect, i);
+      sim_->Arm(detect, tick, kEvDetect, i);
       return;
     }
     case ScrubPolicy::Kind::kExponential:
     case ScrubPolicy::Kind::kOnAccess: {
       const Duration delay = rng_->NextExponential(rp.scrub.interval);
-      replica.detect_event = sim_->ScheduleAfter(delay, kEvDetect, i);
+      sim_->ArmAfter(detect, delay, kEvDetect, i);
       return;
     }
   }
@@ -558,18 +546,19 @@ void ReplicatedStorageSystem::ScheduleDetection(int i) {
 
 void ReplicatedStorageSystem::ScheduleScrubTick(int i) {
   const ResolvedReplica& rp = resolved_[static_cast<size_t>(i)];
-  sim_->ScheduleAt(ScrubTickAfter(rp, sim_->now()), kEvScrubTick, i);
+  sim_->Arm(SourceOf(i, kScrubTickSource), ScrubTickAfter(rp, sim_->now()),
+            kEvScrubTick, i);
 }
 
 void ReplicatedStorageSystem::ScheduleCommonModeSource(size_t source_index) {
   const CommonModeSource& source = scenario_.common_mode[source_index];
   const Duration delay = rng_->NextExponential(source.event_rate);
-  sim_->ScheduleAfter(delay, kEvCommonMode, static_cast<int32_t>(source_index));
+  sim_->ArmAfter(CommonModeSourceOf(source_index), delay, kEvCommonMode,
+                 static_cast<int32_t>(source_index));
 }
 
 void ReplicatedStorageSystem::OnVisibleFault(int i) {
   auto& replica = replicas_[static_cast<size_t>(i)];
-  replica.visible_event = EventId();
   if (replica.state == ReplicaState::kFaultyDetected) {
     return;  // already being rebuilt; nothing new to learn
   }
@@ -581,8 +570,7 @@ void ReplicatedStorageSystem::OnVisibleFault(int i) {
     // rebuild rather than audit.
     metrics_.latent_detections++;
     metrics_.detection_latency_hours.Add((sim_->now() - replica.fault_time).hours());
-    sim_->Cancel(replica.detect_event);
-    replica.detect_event = EventId();
+    sim_->Disarm(SourceOf(i, kDetectSource));
     RecordTrace(TraceEventKind::kLatentDetected, i, "surfaced by visible fault");
     replica.state = ReplicaState::kFaultyDetected;
     StartRepair(i);
@@ -594,9 +582,7 @@ void ReplicatedStorageSystem::OnVisibleFault(int i) {
 }
 
 void ReplicatedStorageSystem::OnLatentFault(int i) {
-  auto& replica = replicas_[static_cast<size_t>(i)];
-  replica.latent_event = EventId();
-  if (replica.state != ReplicaState::kHealthy) {
+  if (replicas_[static_cast<size_t>(i)].state != ReplicaState::kHealthy) {
     return;
   }
   metrics_.latent_faults++;
@@ -606,7 +592,6 @@ void ReplicatedStorageSystem::OnLatentFault(int i) {
 
 void ReplicatedStorageSystem::OnDetect(int i) {
   auto& replica = replicas_[static_cast<size_t>(i)];
-  replica.detect_event = EventId();
   if (replica.state != ReplicaState::kLatentFaulty) {
     return;
   }
@@ -630,10 +615,7 @@ void ReplicatedStorageSystem::OnScrubTick(int i) {
 
 void ReplicatedStorageSystem::InflictFault(int i, FaultKind kind, bool detected) {
   auto& replica = replicas_[static_cast<size_t>(i)];
-  sim_->Cancel(replica.visible_event);
-  sim_->Cancel(replica.latent_event);
-  replica.visible_event = EventId();
-  replica.latent_event = EventId();
+  sim_->Disarm(SourceOf(i, kFaultClock));
 
   const int previously_faulty = faulty_count_;
   if (window_open_ && previously_faulty >= 1) {
@@ -665,10 +647,10 @@ void ReplicatedStorageSystem::InflictFault(int i, FaultKind kind, bool detected)
     StartRepair(i);
   } else {
     if (convention_ == RateConvention::kPaper) {
-      if (!system_detect_event_.is_valid() &&
+      if (!sim_->armed(SystemDetectSource()) &&
           resolved_[0].scrub.kind != ScrubPolicy::Kind::kNone) {
         const Duration delay = rng_->NextExponential(resolved_[0].scrub.interval);
-        system_detect_event_ = sim_->ScheduleAfter(delay, kEvSystemDetect);
+        sim_->ArmAfter(SystemDetectSource(), delay, kEvSystemDetect);
       }
     } else {
       ScheduleDetection(i);
@@ -695,7 +677,7 @@ void ReplicatedStorageSystem::StartRepair(int i) {
   auto& replica = replicas_[static_cast<size_t>(i)];
   const Duration duration = DrawRepairDuration(i, replica.current_fault);
   RecordTrace(TraceEventKind::kRepairStarted, i);
-  replica.repair_event = sim_->ScheduleAfter(duration, kEvRepairComplete, i);
+  sim_->ArmAfter(SourceOf(i, kRepairSource), duration, kEvRepairComplete, i);
 }
 
 void ReplicatedStorageSystem::BeginNextSerialRepair() {
@@ -710,12 +692,11 @@ void ReplicatedStorageSystem::BeginNextSerialRepair() {
   auto& replica = replicas_[static_cast<size_t>(i)];
   const Duration duration = DrawRepairDuration(i, replica.current_fault);
   RecordTrace(TraceEventKind::kRepairStarted, i);
-  replica.repair_event = sim_->ScheduleAfter(duration, kEvRepairComplete, i);
+  sim_->ArmAfter(SourceOf(i, kRepairSource), duration, kEvRepairComplete, i);
 }
 
 void ReplicatedStorageSystem::OnRepairComplete(int i) {
   auto& replica = replicas_[static_cast<size_t>(i)];
-  replica.repair_event = EventId();
   metrics_.repairs_completed++;
   metrics_.repair_duration_hours.Add((sim_->now() - replica.fault_time).hours());
   RecordTrace(TraceEventKind::kRepairCompleted, i);
@@ -746,11 +727,6 @@ void ReplicatedStorageSystem::OnRepairComplete(int i) {
 }
 
 void ReplicatedStorageSystem::OnSystemFault(FaultKind kind) {
-  if (kind == FaultKind::kVisible) {
-    system_visible_event_ = EventId();
-  } else {
-    system_latent_event_ = EventId();
-  }
   if (lost_ || intact_count() == 0) {
     return;
   }
@@ -770,7 +746,6 @@ void ReplicatedStorageSystem::OnSystemFault(FaultKind kind) {
 }
 
 void ReplicatedStorageSystem::OnSystemDetect() {
-  system_detect_event_ = EventId();
   if (lost_) {
     return;
   }
@@ -782,7 +757,7 @@ void ReplicatedStorageSystem::OnSystemDetect() {
   // Another undetected latent fault keeps the serial audit busy.
   if (OldestUndetectedLatent().has_value()) {
     const Duration delay = rng_->NextExponential(resolved_[0].scrub.interval);
-    system_detect_event_ = sim_->ScheduleAfter(delay, kEvSystemDetect);
+    sim_->ArmAfter(SystemDetectSource(), delay, kEvSystemDetect);
   }
 }
 

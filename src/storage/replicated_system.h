@@ -68,7 +68,8 @@ enum class ConfigValidation { kValidate, kPreValidated };
 class ReplicatedStorageSystem : public SimClient {
  public:
   // `sim`, `rng` and `trace` must outlive the system. `trace` may be null.
-  // Attaches itself as `sim`'s client: one system per simulator.
+  // Attaches itself as `sim`'s client, declaring its event sources: one
+  // system per simulator.
   ReplicatedStorageSystem(Simulator* sim, Rng* rng, Scenario scenario,
                           TraceRecorder* trace = nullptr,
                           ConfigValidation validation = ConfigValidation::kValidate);
@@ -107,6 +108,8 @@ class ReplicatedStorageSystem : public SimClient {
 
   const SimMetrics& metrics() const { return metrics_; }
   const Scenario& scenario() const { return scenario_; }
+  // The engine this system is attached to (its per-trial event counts).
+  const Simulator& simulator() const { return *sim_; }
 
   // One uniform draw Start() consumes, with the parameters needed to map
   // that uniform to the initial event delay using the engine's exact
@@ -154,10 +157,6 @@ class ReplicatedStorageSystem : public SimClient {
     FaultKind current_fault = FaultKind::kVisible;
     Duration fault_time;
     Duration birth_time;   // last replacement; Weibull age reference
-    EventId visible_event;
-    EventId latent_event;
-    EventId detect_event;
-    EventId repair_event;
   };
 
   // A ReplicaSpec resolved to the flat values the event loop reads: means,
@@ -181,6 +180,30 @@ class ReplicatedStorageSystem : public SimClient {
     ScrubPolicy scrub = ScrubPolicy::None();
     Duration scrub_phase = Duration::Zero();  // periodic-scrub phase offset
   };
+
+  // The simulator's event sources, one per event this model can have
+  // pending: replica i owns the four sources from kSourcesPerReplica * i,
+  // then come the system-level (kPaper) fault clock and detect, then one
+  // source per common-mode source. A replica's visible and latent fault
+  // clocks share its fault-clock source: ScheduleReplicaFaults and
+  // ScheduleSystemFaultClocks only ever arm the earlier of the two.
+  enum ReplicaSource : uint32_t {
+    kFaultClock,
+    kDetectSource,
+    kRepairSource,
+    kScrubTickSource,
+    kSourcesPerReplica,
+  };
+  static uint32_t SourceOf(int replica, ReplicaSource source) {
+    return kSourcesPerReplica * static_cast<uint32_t>(replica) + source;
+  }
+  uint32_t SystemFaultClock() const {
+    return kSourcesPerReplica * static_cast<uint32_t>(replica_count_);
+  }
+  uint32_t SystemDetectSource() const { return SystemFaultClock() + 1; }
+  uint32_t CommonModeSourceOf(size_t source_index) const {
+    return SystemFaultClock() + 2 + static_cast<uint32_t>(source_index);
+  }
 
   // Simulator event tags (payload `a` = replica or common-mode source index).
   enum EventTag : uint16_t {
@@ -270,14 +293,11 @@ class ReplicatedStorageSystem : public SimClient {
   bool window_open_ = false;
   FaultKind window_first_fault_ = FaultKind::kVisible;
 
-  // kPaper-convention machinery: system-level clocks and serial repair. The
-  // repair queue is a fixed-capacity ring over replica indices (each replica
-  // is queued at most once), so enqueue/dequeue never allocate or shift.
-  // kPaper requires a homogeneous fleet (Scenario::Validate enforces it), so
-  // the system-level clocks read resolved_[0].
-  EventId system_visible_event_;
-  EventId system_latent_event_;
-  EventId system_detect_event_;
+  // kPaper-convention machinery: serial repair. The repair queue is a
+  // fixed-capacity ring over replica indices (each replica is queued at most
+  // once), so enqueue/dequeue never allocate or shift. kPaper requires a
+  // homogeneous fleet (Scenario::Validate enforces it), so the system-level
+  // clocks read resolved_[0].
   std::vector<int> repair_ring_;
   size_t repair_head_ = 0;
   size_t repair_queued_ = 0;

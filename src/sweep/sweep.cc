@@ -143,7 +143,10 @@ void ExecuteCellTrialSpan(TrialRunner& runner, const CellTrialParams& params,
   uint8_t skip[kTrialPrefilterMaxBlock];
   const bool prefiltered = runner.PrefilterBlock(
       params.streams, params.seed, begin, count, params.horizon, skip);
+  const Simulator& sim = runner.system().simulator();
   int64_t skipped = 0;
+  int64_t events_fired = 0;
+  size_t peak_pending = 0;
   for (int i = 0; i < count; ++i) {
     if (prefiltered && skip[i] != 0) {
       AccumulateEventless(params.estimand, params.horizon, acc);
@@ -153,16 +156,27 @@ void ExecuteCellTrialSpan(TrialRunner& runner, const CellTrialParams& params,
                         runner.RunTrial(params.streams, params.seed, begin + i,
                                         params.horizon),
                         acc);
+      events_fired += static_cast<int64_t>(sim.processed_count());
+      peak_pending = std::max(peak_pending, sim.peak_pending());
     }
   }
-  if (prefiltered && obs::Enabled()) {
-    // Kernel accounting, flushed once per block (never per trial).
-    static obs::Counter& m_blocks =
-        obs::Registry::Global().counter("sweep.prefilter_blocks");
-    static obs::Counter& m_skipped =
-        obs::Registry::Global().counter("sweep.prefilter_skipped");
-    m_blocks.Add(1);
-    m_skipped.Add(skipped);
+  if (obs::Enabled()) {
+    // Kernel accounting, tallied in locals and flushed once per block (never
+    // per trial).
+    static obs::Counter& m_events =
+        obs::Registry::Global().counter("sweep.events_fired");
+    static obs::Histogram& h_peak =
+        obs::Registry::Global().histogram("sweep.peak_pending");
+    m_events.Add(events_fired);
+    h_peak.Record(static_cast<int64_t>(peak_pending));
+    if (prefiltered) {
+      static obs::Counter& m_blocks =
+          obs::Registry::Global().counter("sweep.prefilter_blocks");
+      static obs::Counter& m_skipped =
+          obs::Registry::Global().counter("sweep.prefilter_skipped");
+      m_blocks.Add(1);
+      m_skipped.Add(skipped);
+    }
   }
 }
 

@@ -1,6 +1,6 @@
-// Tests for the allocation-free engine internals (generation-stamped slot
-// handles, lazy cancellation) and the trial-reuse contract (Simulator::Reset,
-// ReplicatedStorageSystem::Reset, TrialRunner).
+// Tests for the allocation-free engine internals (the event-source table:
+// arming, disarming, the FIFO tie-break at scale) and the trial-reuse
+// contract (Simulator::Reset, ReplicatedStorageSystem::Reset, TrialRunner).
 
 #include <algorithm>
 #include <vector>
@@ -23,79 +23,49 @@ uint64_t SplitMix64NextForTest(uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-// --- slot/generation machinery -------------------------------------------
+// --- source-table machinery ----------------------------------------------
 
-TEST(EventSlotTest, CancelledSlotIsReusedWithFreshGeneration) {
+TEST(EventSlotTest, ManyArmDisarmCyclesKeepBookkeepingExact) {
   CallbackClient client;
-  Simulator sim(&client);
-  std::vector<int> fired;
-  const uint16_t record = client.Add([&](int32_t a, int32_t) { fired.push_back(a); });
-
-  const EventId first = sim.ScheduleAt(Duration::Hours(1.0), record, 1);
-  EXPECT_TRUE(sim.Cancel(first));
-  // The next schedule reuses the freed slot; the stale handle must not be
-  // able to cancel (or otherwise affect) the new occupant.
-  const EventId second = sim.ScheduleAt(Duration::Hours(2.0), record, 2);
-  EXPECT_NE(first, second);
-  EXPECT_FALSE(sim.Cancel(first));
-  sim.Run();
-  EXPECT_EQ(fired, (std::vector<int>{2}));
-}
-
-TEST(EventSlotTest, FiredSlotHandleGoesStale) {
-  CallbackClient client;
-  Simulator sim(&client);
-  const uint16_t noop = client.Add([] {});
-  const EventId first = sim.ScheduleAt(Duration::Hours(1.0), noop);
-  sim.Run();
-  // Slot freed by firing, then reused: the old handle must stay dead.
-  const EventId second = sim.ScheduleAt(Duration::Hours(2.0), noop);
-  EXPECT_FALSE(sim.Cancel(first));
-  EXPECT_TRUE(sim.Cancel(second));
-}
-
-TEST(EventSlotTest, ManyCancelScheduleCyclesKeepBookkeepingExact) {
-  CallbackClient client;
-  Simulator sim(&client);
+  Simulator sim(&client, 2000);
   int fired = 0;
   const uint16_t count = client.Add([&] { ++fired; });
-  // Repeatedly schedule two, cancel one: lazy deletion leaves stale heap
-  // entries behind, which must all be skipped without miscounting.
-  std::vector<EventId> keep;
-  for (int i = 0; i < 1000; ++i) {
-    const EventId victim =
-        sim.ScheduleAt(Duration::Hours(static_cast<double>(i) + 0.5), count);
-    keep.push_back(sim.ScheduleAt(Duration::Hours(static_cast<double>(i) + 1.0), count));
-    EXPECT_TRUE(sim.Cancel(victim));
+  // Repeatedly arm two, disarm one: every disarm swap-removes from the
+  // middle of the pending array, which must never miscount or misplace.
+  for (uint32_t i = 0; i < 1000; ++i) {
+    sim.Arm(2 * i, Duration::Hours(static_cast<double>(i) + 0.5), count);
+    sim.Arm(2 * i + 1, Duration::Hours(static_cast<double>(i) + 1.0), count);
+    EXPECT_TRUE(sim.Disarm(2 * i));
   }
   EXPECT_EQ(sim.pending_count(), 1000u);
   sim.Run();
   EXPECT_EQ(fired, 1000);
   EXPECT_EQ(sim.processed_count(), 1000u);
-  for (const EventId id : keep) {
-    EXPECT_FALSE(sim.Cancel(id));  // all fired
+  for (uint32_t i = 0; i < 2000; ++i) {
+    EXPECT_FALSE(sim.armed(i));  // all fired or disarmed
   }
 }
 
-TEST(EventSlotTest, TieBreakSurvivesCancellationAndSlotReuse) {
+TEST(EventSlotTest, TieBreakSurvivesDisarmAndRearm) {
   CallbackClient client;
-  Simulator sim(&client);
+  Simulator sim(&client, 23);
   std::vector<int> order;
   const uint16_t record = client.Add([&](int32_t a, int32_t) { order.push_back(a); });
-  // Interleave same-time events with cancellations so that later schedules
-  // reuse earlier slots; FIFO order among survivors must still hold.
-  std::vector<EventId> victims;
+  // Interleave same-time events with disarms, then re-arm the freed sources
+  // at the same time; FIFO (arming) order among survivors must still hold.
+  std::vector<uint32_t> free_sources;
   for (int i = 0; i < 20; ++i) {
-    const EventId id = sim.ScheduleAt(Duration::Hours(5.0), record, i);
-    if (i % 3 == 0) {
-      victims.push_back(id);
-    }
+    sim.Arm(static_cast<uint32_t>(i), Duration::Hours(5.0), record, i);
   }
-  for (const EventId id : victims) {
-    EXPECT_TRUE(sim.Cancel(id));
+  for (int i = 0; i < 20; i += 3) {
+    EXPECT_TRUE(sim.Disarm(static_cast<uint32_t>(i)));
+    free_sources.push_back(static_cast<uint32_t>(i));
   }
-  for (int i = 20; i < 30; ++i) {  // reuse the freed slots at the same time
-    sim.ScheduleAt(Duration::Hours(5.0), record, i);
+  for (uint32_t source = 20; source < 23; ++source) {
+    free_sources.push_back(source);
+  }
+  for (int i = 20; i < 30; ++i) {  // re-arm the freed sources at the same time
+    sim.Arm(free_sources[static_cast<size_t>(i - 20)], Duration::Hours(5.0), record, i);
   }
   sim.Run();
   std::vector<int> expected;
@@ -108,46 +78,48 @@ TEST(EventSlotTest, TieBreakSurvivesCancellationAndSlotReuse) {
   EXPECT_EQ(order, expected);
 }
 
-TEST(EventSlotTest, LargeHeapKeepsOrderUnderInterleavedScheduling) {
-  // Thousands of pending events, and callbacks keep scheduling while the
-  // heap drains: pushes interleave with pops at every depth of the heap.
+TEST(EventSlotTest, LargeTableKeepsOrderUnderInterleavedArming) {
+  // Thousands of pending events, and handlers keep re-arming their own
+  // source while the table drains: arms interleave with fires throughout.
+  constexpr uint32_t kSources = 6000;
   CallbackClient client;
-  Simulator sim(&client);
+  Simulator sim(&client, kSources);
   uint64_t state = 12345;
   Duration last = Duration::Zero();
   int fired = 0;
   bool monotone = true;
   uint16_t chain = 0;
-  chain = client.Add([&] {
+  chain = client.Add([&](int32_t source, int32_t) {
     if (sim.now() < last) {
       monotone = false;
     }
     last = sim.now();
     ++fired;
     if (fired % 3 == 0) {
-      // Re-schedule anywhere from just ahead of the clock to far past the
-      // last initial event.
+      // Re-arm anywhere from just ahead of the clock to far past the last
+      // initial event.
       const double ahead =
           static_cast<double>(SplitMix64NextForTest(state) % 1000000) / 10.0;
-      sim.ScheduleAfter(Duration::Hours(ahead), chain);
+      sim.ArmAfter(static_cast<uint32_t>(source), Duration::Hours(ahead), chain, source);
     }
   });
-  for (int i = 0; i < 6000; ++i) {
+  for (uint32_t i = 0; i < kSources; ++i) {
     const double t = static_cast<double>(SplitMix64NextForTest(state) % 100000) / 10.0;
-    sim.ScheduleAt(Duration::Hours(t), chain);
+    sim.Arm(i, Duration::Hours(t), chain, static_cast<int32_t>(i));
   }
   sim.RunUntil(Duration::Hours(50000.0));
   EXPECT_TRUE(monotone);
-  EXPECT_GE(fired, 6000);
+  EXPECT_GE(fired, static_cast<int>(kSources));
   EXPECT_EQ(sim.processed_count(), static_cast<uint64_t>(fired));
+  EXPECT_LE(sim.pending_count(), kSources);
   // Whatever is still pending lies beyond the horizon.
   EXPECT_DOUBLE_EQ(sim.now().hours(), 50000.0);
 }
 
 TEST(EventSlotTest, ExactFifoOrderAtScaleWithCancellationsAndReplay) {
   // 6000 events over 200 distinct times (so ~30 share each time), and a
-  // seeded third cancelled before the run. The fired sequence must be the
-  // survivors stable-sorted by time (equal times in scheduling order), and a
+  // seeded third disarmed before the run. The fired sequence must be the
+  // survivors stable-sorted by time (equal times in arming order), and a
   // Reset() engine replaying the same schedule must fire the same sequence.
   constexpr int kEvents = 6000;
   uint64_t state = 2024;
@@ -159,17 +131,17 @@ TEST(EventSlotTest, ExactFifoOrderAtScaleWithCancellationsAndReplay) {
   }
 
   CallbackClient client;
-  Simulator sim(&client);
+  Simulator sim(&client, kEvents);
   std::vector<int> fired;
   const uint16_t record = client.Add([&](int32_t a, int32_t) { fired.push_back(a); });
-  const auto schedule_and_run = [&] {
-    std::vector<EventId> ids;
+  const auto arm_and_run = [&] {
     for (int i = 0; i < kEvents; ++i) {
-      ids.push_back(sim.ScheduleAt(Duration::Hours(times[static_cast<size_t>(i)]), record, i));
+      sim.Arm(static_cast<uint32_t>(i), Duration::Hours(times[static_cast<size_t>(i)]),
+              record, i);
     }
     for (int i = 0; i < kEvents; ++i) {
       if (cancelled[static_cast<size_t>(i)]) {
-        EXPECT_TRUE(sim.Cancel(ids[static_cast<size_t>(i)]));
+        EXPECT_TRUE(sim.Disarm(static_cast<uint32_t>(i)));
       }
     }
     sim.Run();
@@ -187,12 +159,12 @@ TEST(EventSlotTest, ExactFifoOrderAtScaleWithCancellationsAndReplay) {
   ASSERT_GT(expected.size(), static_cast<size_t>(kEvents / 2));
   ASSERT_LT(expected.size(), static_cast<size_t>(kEvents));
 
-  schedule_and_run();
+  arm_and_run();
   EXPECT_EQ(fired, expected);
   const std::vector<int> first = fired;
   fired.clear();
   sim.Reset();
-  schedule_and_run();
+  arm_and_run();
   EXPECT_EQ(fired, first);
   EXPECT_EQ(sim.processed_count(), first.size());
 }
@@ -201,48 +173,51 @@ TEST(EventSlotTest, ExactFifoOrderAtScaleWithCancellationsAndReplay) {
 
 TEST(SimulatorResetTest, ResetRestoresPristineState) {
   CallbackClient client;
-  Simulator sim(&client);
+  Simulator sim(&client, 3);
   const uint16_t noop = client.Add([] {});
-  sim.ScheduleAt(Duration::Hours(1.0), noop);
-  sim.ScheduleAt(Duration::Hours(2.0), noop);
-  const EventId pending = sim.ScheduleAt(Duration::Hours(3.0), noop);
+  sim.Arm(0, Duration::Hours(1.0), noop);
+  sim.Arm(1, Duration::Hours(2.0), noop);
+  sim.Arm(2, Duration::Hours(3.0), noop);
   sim.Step();
   sim.Reset();
   EXPECT_DOUBLE_EQ(sim.now().hours(), 0.0);
   EXPECT_EQ(sim.pending_count(), 0u);
+  EXPECT_EQ(sim.peak_pending(), 0u);
   EXPECT_EQ(sim.processed_count(), 0u);
   EXPECT_FALSE(sim.Step());
-  // Handles from before the Reset are invalid.
-  EXPECT_FALSE(sim.Cancel(pending));
   // The engine is fully usable again.
-  sim.ScheduleAt(Duration::Hours(1.0), noop);
+  sim.Arm(2, Duration::Hours(1.0), noop);
   sim.Run();
   EXPECT_EQ(sim.processed_count(), 1u);
 }
 
-TEST(SimulatorResetTest, StaleHandleCannotCancelPostResetOccupant) {
-  // The third pre-Reset event and the third post-Reset event occupy the same
-  // slot; the old handle must not alias the new occupant.
+TEST(SimulatorResetTest, ResetDisarmsEverySource) {
   CallbackClient client;
-  Simulator sim(&client);
-  const uint16_t noop = client.Add([] {});
-  sim.ScheduleAt(Duration::Hours(1.0), noop);
-  sim.ScheduleAt(Duration::Hours(2.0), noop);
-  const EventId before = sim.ScheduleAt(Duration::Hours(3.0), noop);
+  Simulator sim(&client, 8);
+  std::vector<int> fired;
+  const uint16_t record = client.Add([&](int32_t a, int32_t) { fired.push_back(a); });
+  for (uint32_t i = 0; i < 8; ++i) {
+    sim.Arm(i, Duration::Hours(static_cast<double>(8 - i)), record, static_cast<int32_t>(i));
+  }
+  sim.Disarm(3);
+  sim.Step();  // fires source 7
   sim.Reset();
-  sim.ScheduleAt(Duration::Hours(1.0), noop);
-  sim.ScheduleAt(Duration::Hours(2.0), noop);
-  const EventId after = sim.ScheduleAt(Duration::Hours(3.0), noop);
-  EXPECT_NE(before, after);
-  EXPECT_FALSE(sim.Cancel(before));  // stale: must not cancel the new event
-  EXPECT_EQ(sim.pending_count(), 3u);
+  for (uint32_t i = 0; i < 8; ++i) {
+    EXPECT_FALSE(sim.armed(i));
+    EXPECT_FALSE(sim.Disarm(i));
+  }
+  EXPECT_EQ(sim.source_count(), 8u);
+  // Every source can be armed again, and nothing from before the Reset fires.
+  for (uint32_t i = 0; i < 8; ++i) {
+    sim.Arm(i, Duration::Hours(1.0), record, static_cast<int32_t>(10 + i));
+  }
   sim.Run();
-  EXPECT_EQ(sim.processed_count(), 3u);
+  EXPECT_EQ(fired, (std::vector<int>{7, 10, 11, 12, 13, 14, 15, 16, 17}));
 }
 
 TEST(SimulatorResetTest, ReusedEngineReproducesEventSequence) {
   CallbackClient client;
-  Simulator sim(&client);
+  Simulator sim(&client, 50);
   std::vector<std::vector<int>> rounds;
   const uint16_t record =
       client.Add([&](int32_t a, int32_t) { rounds.back().push_back(a); });
@@ -250,10 +225,10 @@ TEST(SimulatorResetTest, ReusedEngineReproducesEventSequence) {
     rounds.emplace_back();
     sim.Reset();
     for (int i = 0; i < 50; ++i) {
-      const EventId id =
-          sim.ScheduleAt(Duration::Hours(static_cast<double>((i * 7) % 13)), record, i);
+      sim.Arm(static_cast<uint32_t>(i),
+              Duration::Hours(static_cast<double>((i * 7) % 13)), record, i);
       if (i % 4 == 0) {
-        sim.Cancel(id);
+        sim.Disarm(static_cast<uint32_t>(i));
       }
     }
     sim.Run();

@@ -13,25 +13,27 @@ namespace {
 
 TEST(SimulatorTest, EventsFireInTimeOrder) {
   CallbackClient client;
-  Simulator sim(&client);
+  Simulator sim(&client, 3);
   std::vector<int> order;
   const uint16_t record = client.Add([&](int32_t a, int32_t) { order.push_back(a); });
-  sim.ScheduleAt(Duration::Hours(3.0), record, 3);
-  sim.ScheduleAt(Duration::Hours(1.0), record, 1);
-  sim.ScheduleAt(Duration::Hours(2.0), record, 2);
+  sim.Arm(0, Duration::Hours(3.0), record, 3);
+  sim.Arm(1, Duration::Hours(1.0), record, 1);
+  sim.Arm(2, Duration::Hours(2.0), record, 2);
   sim.Run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_DOUBLE_EQ(sim.now().hours(), 3.0);
   EXPECT_EQ(sim.processed_count(), 3u);
 }
 
-TEST(SimulatorTest, EqualTimesFireInScheduleOrder) {
+TEST(SimulatorTest, EqualTimesFireInArmingOrder) {
   CallbackClient client;
-  Simulator sim(&client);
+  Simulator sim(&client, 10);
   std::vector<int> order;
   const uint16_t record = client.Add([&](int32_t a, int32_t) { order.push_back(a); });
+  // Armed in reverse source order: the tie-break follows arming, not the
+  // source index.
   for (int i = 0; i < 10; ++i) {
-    sim.ScheduleAt(Duration::Hours(5.0), record, i);
+    sim.Arm(static_cast<uint32_t>(9 - i), Duration::Hours(5.0), record, i);
   }
   sim.Run();
   for (int i = 0; i < 10; ++i) {
@@ -39,110 +41,158 @@ TEST(SimulatorTest, EqualTimesFireInScheduleOrder) {
   }
 }
 
-TEST(SimulatorTest, ScheduleAfterUsesCurrentTime) {
+TEST(SimulatorTest, ArmAfterUsesCurrentTime) {
   CallbackClient client;
-  Simulator sim(&client);
+  Simulator sim(&client, 2);
   Duration second_fire;
   const uint16_t inner = client.Add([&] { second_fire = sim.now(); });
   const uint16_t outer =
-      client.Add([&] { sim.ScheduleAfter(Duration::Hours(3.0), inner); });
-  sim.ScheduleAt(Duration::Hours(2.0), outer);
+      client.Add([&] { sim.ArmAfter(1, Duration::Hours(3.0), inner); });
+  sim.Arm(0, Duration::Hours(2.0), outer);
   sim.Run();
   EXPECT_DOUBLE_EQ(second_fire.hours(), 5.0);
 }
 
 TEST(SimulatorTest, PayloadWordsAreDeliveredVerbatim) {
   CallbackClient client;
-  Simulator sim(&client);
+  Simulator sim(&client, 1);
   int32_t got_a = 0;
   int32_t got_b = 0;
   const uint16_t record = client.Add([&](int32_t a, int32_t b) {
     got_a = a;
     got_b = b;
   });
-  sim.ScheduleAt(Duration::Hours(1.0), record, -7, 42);
+  sim.Arm(0, Duration::Hours(1.0), record, -7, 42);
   sim.Run();
   EXPECT_EQ(got_a, -7);
   EXPECT_EQ(got_b, 42);
 }
 
-TEST(SimulatorTest, CancelPreventsDelivery) {
+TEST(SimulatorTest, DisarmPreventsDelivery) {
   CallbackClient client;
-  Simulator sim(&client);
+  Simulator sim(&client, 1);
   bool fired = false;
   const uint16_t mark = client.Add([&] { fired = true; });
-  const EventId id = sim.ScheduleAt(Duration::Hours(1.0), mark);
-  EXPECT_TRUE(sim.Cancel(id));
-  EXPECT_FALSE(sim.Cancel(id));  // second cancel is a no-op
+  sim.Arm(0, Duration::Hours(1.0), mark);
+  EXPECT_TRUE(sim.armed(0));
+  EXPECT_TRUE(sim.Disarm(0));
+  EXPECT_FALSE(sim.armed(0));
+  EXPECT_FALSE(sim.Disarm(0));  // second disarm is a no-op
   sim.Run();
   EXPECT_FALSE(fired);
   EXPECT_EQ(sim.processed_count(), 0u);
 }
 
-// Cancelling most of a large queue triggers the in-place compaction; the
-// survivors must still fire in exact (time, scheduling-order) order.
-TEST(SimulatorTest, CompactionKeepsFiringOrder) {
+TEST(SimulatorTest, DisarmingAnUnarmedSourceReturnsFalse) {
   CallbackClient client;
-  Simulator sim(&client);
+  Simulator sim(&client, 2);
+  EXPECT_FALSE(sim.Disarm(0));
+  EXPECT_FALSE(sim.Disarm(1));
+  EXPECT_EQ(sim.pending_count(), 0u);
+}
+
+TEST(SimulatorTest, ArmingAnArmedSourceThrows) {
+  CallbackClient client;
+  Simulator sim(&client, 2);
   std::vector<int> order;
   const uint16_t record = client.Add([&](int32_t a, int32_t) { order.push_back(a); });
-  std::vector<EventId> ids;
+  sim.Arm(0, Duration::Hours(2.0), record, 1);
+  EXPECT_THROW(sim.Arm(0, Duration::Hours(1.0), record, 2), std::logic_error);
+  EXPECT_THROW(sim.ArmAfter(0, Duration::Hours(1.0), record, 3), std::logic_error);
+  // The rejected arms left the pending event untouched.
+  EXPECT_EQ(sim.pending_count(), 1u);
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  // Fired, the source is free again.
+  EXPECT_FALSE(sim.armed(0));
+  sim.Arm(0, Duration::Hours(3.0), record, 4);
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 4}));
+}
+
+TEST(SimulatorTest, SourceOutOfRangeThrows) {
+  CallbackClient client;
+  Simulator sim(&client, 2);
+  const uint16_t noop = client.Add([] {});
+  EXPECT_THROW(sim.Arm(2, Duration::Hours(1.0), noop), std::out_of_range);
+  EXPECT_THROW(sim.Disarm(2), std::out_of_range);
+  EXPECT_THROW((void)sim.armed(2), std::out_of_range);
+}
+
+// Disarming most sources of a large table swap-removes entries all over
+// the pending array; the survivors must still fire in exact (time,
+// arming-order) order.
+TEST(SimulatorTest, DisarmChurnKeepsFiringOrder) {
+  CallbackClient client;
+  Simulator sim(&client, 1000);
+  std::vector<int> order;
+  const uint16_t record = client.Add([&](int32_t a, int32_t) { order.push_back(a); });
   for (int i = 0; i < 1000; ++i) {
     // Many equal times, so the seq tie-break is exercised too.
-    ids.push_back(sim.ScheduleAt(Duration::Hours((i * 37) % 101), record, i));
+    sim.Arm(static_cast<uint32_t>(i), Duration::Hours((i * 37) % 101), record, i);
   }
   std::vector<int> expected;
   for (int i = 0; i < 1000; ++i) {
     if (i % 7 == 0) {
       expected.push_back(i);
     } else {
-      EXPECT_TRUE(sim.Cancel(ids[i]));
+      EXPECT_TRUE(sim.Disarm(static_cast<uint32_t>(i)));
     }
   }
-  EXPECT_LE(sim.queued_records(), 2 * sim.pending_count() + 1);
+  EXPECT_EQ(sim.pending_count(), expected.size());
   std::stable_sort(expected.begin(), expected.end(), [](int a, int b) {
     return (a * 37) % 101 < (b * 37) % 101;
   });
   sim.Run();
   EXPECT_EQ(order, expected);
-  EXPECT_EQ(sim.queued_records(), 0u);
+  EXPECT_EQ(sim.pending_count(), 0u);
 }
 
-TEST(SimulatorTest, CancelFromInsideCallback) {
+TEST(SimulatorTest, DisarmFromInsideCallback) {
   CallbackClient client;
-  Simulator sim(&client);
+  Simulator sim(&client, 2);
   bool fired = false;
   const uint16_t mark = client.Add([&] { fired = true; });
-  const EventId victim = sim.ScheduleAt(Duration::Hours(2.0), mark);
-  const uint16_t canceller = client.Add([&] { EXPECT_TRUE(sim.Cancel(victim)); });
-  sim.ScheduleAt(Duration::Hours(1.0), canceller);
+  sim.Arm(1, Duration::Hours(2.0), mark);
+  const uint16_t disarmer = client.Add([&] { EXPECT_TRUE(sim.Disarm(1)); });
+  sim.Arm(0, Duration::Hours(1.0), disarmer);
   sim.Run();
   EXPECT_FALSE(fired);
 }
 
-TEST(SimulatorTest, CancelInvalidIdReturnsFalse) {
+TEST(SimulatorTest, DisarmAfterFireReturnsFalse) {
   CallbackClient client;
-  Simulator sim(&client);
-  EXPECT_FALSE(sim.Cancel(EventId()));
-  EXPECT_FALSE(sim.Cancel(EventId(424242)));
+  Simulator sim(&client, 1);
+  const uint16_t noop = client.Add([] {});
+  sim.Arm(0, Duration::Hours(1.0), noop);
+  sim.Run();
+  EXPECT_FALSE(sim.Disarm(0));
 }
 
-TEST(SimulatorTest, CancelAfterFireReturnsFalse) {
+TEST(SimulatorTest, FiringSourceIsDisarmedInsideItsHandler) {
   CallbackClient client;
-  Simulator sim(&client);
-  const uint16_t noop = client.Add([] {});
-  const EventId id = sim.ScheduleAt(Duration::Hours(1.0), noop);
+  Simulator sim(&client, 1);
+  int fired = 0;
+  uint16_t rearm = 0;
+  rearm = client.Add([&] {
+    EXPECT_FALSE(sim.armed(0));
+    if (++fired < 3) {
+      sim.ArmAfter(0, Duration::Hours(1.0), rearm);
+    }
+  });
+  sim.Arm(0, Duration::Hours(1.0), rearm);
   sim.Run();
-  EXPECT_FALSE(sim.Cancel(id));
+  EXPECT_EQ(fired, 3);
+  EXPECT_DOUBLE_EQ(sim.now().hours(), 3.0);
 }
 
 TEST(SimulatorTest, RunUntilAdvancesClockToHorizon) {
   CallbackClient client;
-  Simulator sim(&client);
+  Simulator sim(&client, 2);
   int fired = 0;
   const uint16_t count = client.Add([&] { ++fired; });
-  sim.ScheduleAt(Duration::Hours(1.0), count);
-  sim.ScheduleAt(Duration::Hours(10.0), count);
+  sim.Arm(0, Duration::Hours(1.0), count);
+  sim.Arm(1, Duration::Hours(10.0), count);
   sim.RunUntil(Duration::Hours(5.0));
   EXPECT_EQ(fired, 1);
   EXPECT_DOUBLE_EQ(sim.now().hours(), 5.0);
@@ -154,21 +204,21 @@ TEST(SimulatorTest, RunUntilAdvancesClockToHorizon) {
 
 TEST(SimulatorTest, RunUntilBoundaryInclusive) {
   CallbackClient client;
-  Simulator sim(&client);
+  Simulator sim(&client, 1);
   bool fired = false;
   const uint16_t mark = client.Add([&] { fired = true; });
-  sim.ScheduleAt(Duration::Hours(5.0), mark);
+  sim.Arm(0, Duration::Hours(5.0), mark);
   sim.RunUntil(Duration::Hours(5.0));
   EXPECT_TRUE(fired);
 }
 
 TEST(SimulatorTest, StepHonorsHorizon) {
   CallbackClient client;
-  Simulator sim(&client);
+  Simulator sim(&client, 2);
   int fired = 0;
   const uint16_t count = client.Add([&] { ++fired; });
-  sim.ScheduleAt(Duration::Hours(1.0), count);
-  sim.ScheduleAt(Duration::Hours(10.0), count);
+  sim.Arm(0, Duration::Hours(1.0), count);
+  sim.Arm(1, Duration::Hours(10.0), count);
   EXPECT_TRUE(sim.Step(Duration::Hours(5.0)));
   EXPECT_FALSE(sim.Step(Duration::Hours(5.0)));  // next event lies beyond
   EXPECT_EQ(fired, 1);
@@ -179,15 +229,15 @@ TEST(SimulatorTest, StepHonorsHorizon) {
 
 TEST(SimulatorTest, StopHaltsRun) {
   CallbackClient client;
-  Simulator sim(&client);
+  Simulator sim(&client, 2);
   int fired = 0;
   const uint16_t stopper = client.Add([&] {
     ++fired;
     sim.Stop();
   });
   const uint16_t count = client.Add([&] { ++fired; });
-  sim.ScheduleAt(Duration::Hours(1.0), stopper);
-  sim.ScheduleAt(Duration::Hours(2.0), count);
+  sim.Arm(0, Duration::Hours(1.0), stopper);
+  sim.Arm(1, Duration::Hours(2.0), count);
   sim.Run();
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(sim.stopped());
@@ -196,46 +246,58 @@ TEST(SimulatorTest, StopHaltsRun) {
 
 TEST(SimulatorTest, StopHaltsRunUntilWithoutAdvancingClock) {
   CallbackClient client;
-  Simulator sim(&client);
+  Simulator sim(&client, 1);
   const uint16_t stopper = client.Add([&] { sim.Stop(); });
-  sim.ScheduleAt(Duration::Hours(1.0), stopper);
+  sim.Arm(0, Duration::Hours(1.0), stopper);
   sim.RunUntil(Duration::Hours(100.0));
   EXPECT_DOUBLE_EQ(sim.now().hours(), 1.0);
 }
 
 TEST(SimulatorTest, PastSchedulingThrows) {
   CallbackClient client;
-  Simulator sim(&client);
+  Simulator sim(&client, 1);
   const uint16_t noop = client.Add([] {});
-  sim.ScheduleAt(Duration::Hours(2.0), noop);
+  sim.Arm(0, Duration::Hours(2.0), noop);
   sim.Run();
-  EXPECT_THROW(sim.ScheduleAt(Duration::Hours(1.0), noop), std::invalid_argument);
-  EXPECT_THROW(sim.ScheduleAfter(Duration::Hours(-1.0), noop), std::invalid_argument);
+  EXPECT_THROW(sim.Arm(0, Duration::Hours(1.0), noop), std::invalid_argument);
+  EXPECT_THROW(sim.ArmAfter(0, Duration::Hours(-1.0), noop), std::invalid_argument);
+  EXPECT_FALSE(sim.armed(0));
 }
 
 TEST(SimulatorTest, InfiniteTimeThrows) {
   CallbackClient client;
-  Simulator sim(&client);
+  Simulator sim(&client, 1);
   const uint16_t noop = client.Add([] {});
-  EXPECT_THROW(sim.ScheduleAt(Duration::Infinite(), noop), std::invalid_argument);
+  EXPECT_THROW(sim.Arm(0, Duration::Infinite(), noop), std::invalid_argument);
 }
 
 TEST(SimulatorTest, SchedulingWithoutClientThrows) {
-  Simulator sim;
-  EXPECT_THROW(sim.ScheduleAt(Duration::Hours(1.0), 0), std::logic_error);
+  Simulator sim(nullptr, 1);
+  EXPECT_THROW(sim.Arm(0, Duration::Hours(1.0), 0), std::logic_error);
+}
+
+TEST(SimulatorTest, AttachWhilePendingThrows) {
+  CallbackClient client;
+  Simulator sim(&client, 1);
+  const uint16_t noop = client.Add([] {});
+  sim.Arm(0, Duration::Hours(1.0), noop);
+  EXPECT_THROW(sim.Attach(&client, 4), std::logic_error);
+  sim.Run();
+  sim.Attach(&client, 4);
+  EXPECT_EQ(sim.source_count(), 4u);
 }
 
 TEST(SimulatorTest, CascadedSchedulingFromCallbacks) {
   CallbackClient client;
-  Simulator sim(&client);
+  Simulator sim(&client, 1);
   int depth = 0;
   uint16_t recurse = 0;
   recurse = client.Add([&] {
     if (++depth < 100) {
-      sim.ScheduleAfter(Duration::Hours(1.0), recurse);
+      sim.ArmAfter(0, Duration::Hours(1.0), recurse);
     }
   });
-  sim.ScheduleAfter(Duration::Hours(1.0), recurse);
+  sim.ArmAfter(0, Duration::Hours(1.0), recurse);
   sim.Run();
   EXPECT_EQ(depth, 100);
   EXPECT_DOUBLE_EQ(sim.now().hours(), 100.0);
@@ -251,8 +313,9 @@ uint64_t SplitMix64NextForTest(uint64_t& state) {
 }
 
 TEST(SimulatorTest, ManyEventsStressOrdering) {
+  constexpr uint32_t kEvents = 20000;
   CallbackClient client;
-  Simulator sim(&client);
+  Simulator sim(&client, kEvents);
   uint64_t state = 987;
   Duration last = Duration::Zero();
   bool monotone = true;
@@ -262,13 +325,14 @@ TEST(SimulatorTest, ManyEventsStressOrdering) {
     }
     last = sim.now();
   });
-  for (int i = 0; i < 20000; ++i) {
+  for (uint32_t i = 0; i < kEvents; ++i) {
     const double t = static_cast<double>(SplitMix64NextForTest(state) % 1000000) / 100.0;
-    sim.ScheduleAt(Duration::Hours(t), check);
+    sim.Arm(i, Duration::Hours(t), check);
   }
+  EXPECT_EQ(sim.peak_pending(), kEvents);
   sim.Run();
   EXPECT_TRUE(monotone);
-  EXPECT_EQ(sim.processed_count(), 20000u);
+  EXPECT_EQ(sim.processed_count(), kEvents);
 }
 
 }  // namespace

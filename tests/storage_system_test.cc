@@ -193,11 +193,11 @@ TEST(StorageSystemTest, CommonModeHitProbabilityScalesImpact) {
   EXPECT_NEAR(hits_per_event, 6.0, 0.6);
 }
 
-// Every common-mode event cancels and re-arms the clocks of the replicas it
-// hits; without compaction this configuration leaves 2775 heap records for
-// 21 live events. Cancel's compaction keeps the heap near twice the live
-// events (above a 64-record floor).
-TEST(StorageSystemTest, CancelChurnKeepsQueuedRecordsBounded) {
+// Every common-mode event disarms and re-arms the fault clocks of the
+// replicas it hits (under the old lazily-cancelled heap this configuration
+// piled up 2775 records for 21 live events). With one slot per source the
+// pending events can never exceed the system's declared source count.
+TEST(StorageSystemTest, PendingEventsNeverExceedSourceCount) {
   StorageSimConfig config;
   config.replica_count = 20;
   config.params = AggressiveParams();
@@ -213,18 +213,16 @@ TEST(StorageSystemTest, CancelChurnKeepsQueuedRecordsBounded) {
   Simulator sim;
   Rng rng(37);
   ReplicatedStorageSystem system(&sim, &rng, config);
+  // Four sources per replica, the two system-level ones, one common-mode.
+  EXPECT_EQ(sim.source_count(), 4u * 20u + 2u + 1u);
   system.Start();
-  size_t max_records = 0;
   size_t max_live = 0;
   while (!system.lost() && sim.Step(Duration::Years(50.0))) {
-    max_records = std::max(max_records, sim.queued_records());
     max_live = std::max(max_live, sim.pending_count());
   }
   ASSERT_GT(system.metrics().common_mode_events, 100);
-  // The floor plus 2x live: an event may schedule a few records after the
-  // last cancel that compacted.
-  EXPECT_LE(max_records, 64 + 2 * max_live)
-      << max_live << " live events at most";
+  EXPECT_GE(sim.peak_pending(), max_live);
+  EXPECT_LE(sim.peak_pending(), static_cast<size_t>(sim.source_count()));
 }
 
 TEST(StorageSystemTest, PaperConventionRunsSerialRepair) {

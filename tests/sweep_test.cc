@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "src/mc/monte_carlo.h"
+#include "src/obs/metrics.h"
 
 namespace longstore {
 namespace {
@@ -277,6 +278,48 @@ TEST(WorkerPoolTest, RunLanesExecutesAllLanesAndPropagatesExceptions) {
   std::atomic<int> after{0};
   pool.RunLanes(2, [&](int) { after++; });
   EXPECT_EQ(after.load(), 2);
+}
+
+// The kernel counters read the engine after each simulated trial:
+// sweep.events_fired must equal the events the same trials fire one by one,
+// with the prefilter's eventless trials contributing none, and
+// sweep.peak_pending gets one sample per trial block.
+TEST(SweepRunnerTest, EventsFiredCounterMatchesPerTrialProcessedCount) {
+  if (!obs::Enabled()) {
+    GTEST_SKIP() << "telemetry compiled out or disabled in the environment";
+  }
+  SweepOptions options;
+  options.estimand = SweepOptions::Estimand::kLossProbability;
+  options.mission = Duration::Hours(100.0);  // about half the trials eventless
+  options.mc.trials = 600;                   // three blocks, the last partial
+  options.mc.seed = 29;
+  options.mc.threads = 2;
+  const SweepSpec spec(FastConfig());
+
+  obs::Counter& events = obs::Registry::Global().counter("sweep.events_fired");
+  obs::Histogram& peak = obs::Registry::Global().histogram("sweep.peak_pending");
+  const int64_t events_before = events.value();
+  const int64_t samples_before = peak.count();
+  (void)SweepRunner().Run(spec, options);
+  const int64_t fired = events.value() - events_before;
+
+  const std::vector<SweepSpec::Cell> cells = spec.BuildCells();
+  ASSERT_EQ(cells.size(), 1u);
+  TrialRunner runner(cells[0].scenario);
+  const uint64_t cell_seed = SweepCellSeed(options, cells[0]);
+  int64_t expected = 0;
+  int64_t eventless = 0;
+  for (int64_t t = 0; t < options.mc.trials; ++t) {
+    (void)runner.RunTrial(TrialStreams::kDerived, cell_seed, t, options.mission);
+    const uint64_t processed = runner.system().simulator().processed_count();
+    expected += static_cast<int64_t>(processed);
+    eventless += processed == 0 ? 1 : 0;
+  }
+  EXPECT_EQ(fired, expected);
+  EXPECT_GT(eventless, 0);
+  EXPECT_LT(eventless, options.mc.trials);
+  EXPECT_EQ(peak.count() - samples_before, 3);
+  EXPECT_LE(peak.max(), static_cast<int64_t>(runner.system().simulator().source_count()));
 }
 
 }  // namespace
